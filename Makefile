@@ -65,7 +65,8 @@ chaos:
 		tests/unit/devtools/test_lock_sanitizer.py \
 		tests/property/test_prop_durability.py
 
-## arena-vs-legacy dispatch benchmark; writes BENCH_parallel.json
+## arena dispatch-overhead benchmark (absolute payload/overhead gates);
+## writes BENCH_parallel.json
 bench-dispatch:
 	$(PYTHON) -m pytest -x -q benchmarks/test_perf_dispatch.py
 

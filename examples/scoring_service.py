@@ -5,10 +5,9 @@ The paper's predictor is an offline artifact; this example runs the
 deployment half.  It trains embeddings and a virality SVM, saves both as
 the ``.npz`` artifacts ``repro serve`` consumes, assembles the scoring
 service from them — with a write-ahead journal armed — replays held-out
-cascades' early adopters as a live event stream, scores them through the
-micro-batched path, hot-swaps in a refit model mid-stream without
-dropping a request, then kills the service without ceremony and rebuilds
-it from the journal: the recovered scores are bit-identical.  It then
+cascades' early adopters as a live event stream, scores them in one
+batched pass, hot-swaps in a refit model mid-stream, then kills the
+service without ceremony and rebuilds it from the journal: the recovered scores are bit-identical.  It then
 stands the same artifacts up behind a sharded multi-process tier and
 shows the scores don't change — sharding is a deployment knob, not a
 semantics knob.  Finally it records the event stream to a crc-framed
@@ -46,7 +45,6 @@ from repro.ingest import (
 from repro.prediction.pipeline import ViralityPredictor, build_dataset
 from repro.serving import (
     JournalConfig,
-    ScoringClient,
     build_service,
     build_sharded_service,
     recover_service,
@@ -86,7 +84,6 @@ def main() -> None:
         max_delay=0.002,
         journal_dir=workdir / "wal",
     )
-    client = ScoringClient(service)
     print(
         f"  artifacts in {workdir}; model version "
         f"{service.stats()['model_version']}; journaling to {workdir / 'wal'}"
@@ -104,26 +101,28 @@ def main() -> None:
         cascade_ids.append(cid)
         cutoff = cascade.times[0] + exp.early_fraction * exp.window
         prefix = cascade.prefix_by_time(cutoff)
-        client.ingest_columns(
+        service.ingest_columns(
             [cid] * len(prefix.nodes),
             np.asarray(prefix.nodes),
             np.asarray(prefix.times),
         )
-    results = client.score_many(cascade_ids)
+    # score_columns: one snapshot read, one gather, one SVM evaluation
+    # for the whole batch; row i answers cascade_ids[i].
+    results = service.score_columns(cascade_ids)
     stats = service.stats()
     print(
-        f"  {stats['ingested']} events folded in; {stats['scored']} requests "
-        f"scored in {stats['batches']} micro-batches"
+        f"  {stats['ingested']} events folded in; {stats['scored']} cascades "
+        f"scored in {stats['batches']} batched evaluation(s)"
     )
 
     final_sizes = exp.test.sizes()
-    order = np.argsort([-r.score for r in results])[:5]
+    order = np.argsort(-results.scores)[:5]
     rows = [
         (
-            results[i].cascade_id,
-            results[i].n_early,
-            f"{results[i].score:+.2f}",
-            "viral" if results[i].label > 0 else "-",
+            cascade_ids[i],
+            int(results.n_early[i]),
+            f"{results.scores[i]:+.2f}",
+            "viral" if results.labels[i] > 0 else "-",
             int(final_sizes[i]),
             "viral" if final_sizes[i] >= threshold else "-",
         )
@@ -134,7 +133,7 @@ def main() -> None:
         ("cascade", "early", "score", "predicted", "final size", "actual"), rows
     )
     print("\n".join("    " + line for line in table.splitlines()))
-    predicted = np.array([r.label for r in results])
+    predicted = results.labels
     actual = np.where(final_sizes >= threshold, 1, -1)
     agree = float(np.mean(predicted == actual))
     print(f"  prediction/outcome agreement: {agree:.0%}")
@@ -149,15 +148,16 @@ def main() -> None:
     # service.publish is the journaled twin of registry.publish: the new
     # snapshot also goes down as a swap record, so recovery re-swaps it.
     service.publish(model2, predictor=predictor2, source="refit")
-    results2 = client.score_many(cascade_ids)
+    results2 = service.score_columns(cascade_ids)
     stats = service.stats()
-    sample = results[int(order[0])], results2[int(order[0])]
+    top = int(order[0])
     print(
-        f"  model version {sample[0].model_version} -> "
-        f"{sample[1].model_version}; {stats['rebuilds']} trackers rebuilt; "
-        f"top cascade rescored {sample[0].score:+.2f} -> {sample[1].score:+.2f}"
+        f"  model version {results.model_version} -> "
+        f"{results2.model_version}; {stats['rebuilds']} trackers rebuilt; "
+        f"top cascade rescored {results.scores[top]:+.2f} -> "
+        f"{results2.scores[top]:+.2f}"
     )
-    predicted2 = np.array([r.label for r in results2])
+    predicted2 = results2.labels
     agree2 = float(np.mean(predicted2 == actual))
     print(f"  agreement after swap: {agree2:.0%}")
 
@@ -166,11 +166,11 @@ def main() -> None:
     # or seal — no goodbye flush.  Every appended record already reached
     # the OS (the journal flushes per frame; the fsync policy decides
     # when it hits the platter), so recovery sees the full stream.
-    reference = {r.cascade_id: r.score for r in results2}
-    del service, client
+    reference = results2.scores
+    del service
     recovered, report = recover_service(JournalConfig(directory=workdir / "wal"))
-    results3 = ScoringClient(recovered).score_many(cascade_ids)
-    identical = all(reference[r.cascade_id] == r.score for r in results3)
+    results3 = recovered.score_columns(cascade_ids)
+    identical = bool(np.array_equal(results3.scores, reference))
     print(
         f"  replayed {report.snapshot_events + report.events_replayed} events "
         f"+ {report.swaps_replayed} model swaps across "
@@ -185,7 +185,7 @@ def main() -> None:
     # processes by cascade-id hash.  The router fans each burst out over
     # per-shard pipes and merges replies in request order; a model
     # publish crosses the plane bytes once, through a shared-memory
-    # segment every shard attaches read-only.  Same client, same wire
+    # segment every shard attaches read-only.  Same calls, same wire
     # protocol, same scores.
     sharded = build_sharded_service(
         str(workdir / "model.npz"),
@@ -195,21 +195,20 @@ def main() -> None:
         max_delay=0.002,
     )
     try:
-        sh_client = ScoringClient(sharded)
         for i, cascade in enumerate(exp.test):
             cutoff = cascade.times[0] + exp.early_fraction * exp.window
             prefix = cascade.prefix_by_time(cutoff)
-            sh_client.ingest_columns(
+            sharded.ingest_columns(
                 [cascade_ids[i]] * len(prefix.nodes),
                 np.asarray(prefix.nodes),
                 np.asarray(prefix.times),
             )
-        sh_results = sh_client.score_many(cascade_ids)
-        same_v1 = all(a.score == b.score for a, b in zip(sh_results, results))
+        sh_results = sharded.score_columns(cascade_ids)
+        same_v1 = bool(np.array_equal(sh_results.scores, results.scores))
         # One zero-copy publish swaps every shard to the refit model.
         sharded.publish(model2, predictor=predictor2, source="refit")
-        sh_results2 = sh_client.score_many(cascade_ids)
-        same_v2 = all(r.score == reference[r.cascade_id] for r in sh_results2)
+        sh_results2 = sharded.score_columns(cascade_ids)
+        same_v2 = bool(np.array_equal(sh_results2.scores, reference))
         sh_stats = sharded.stats()
         per_shard = "+".join(
             str(s["tracked_cascades"]) for s in sh_stats["shards"]

@@ -1,10 +1,10 @@
 """Zero-copy cascade arena: the corpus as flat buffers in shared memory.
 
-The legacy dispatch path pickled every community's ``cascade_nodes`` /
-``cascade_times`` array lists to the workers at **every merge-tree level**
-— per-level IPC proportional to the total infection count, paid again at
-each level.  The arena turns that stream of small pickled arrays into two
-fixed shared-memory blocks:
+Pickling every community's ``cascade_nodes`` / ``cascade_times`` array
+lists to the workers at **every merge-tree level** would cost per-level
+IPC proportional to the total infection count, paid again at each level.
+The arena replaces that stream of small pickled arrays with two fixed
+shared-memory blocks:
 
 * :class:`CorpusArena` — built **once at engine start**: the whole corpus
   concatenated CSR-style (global node ids, infection times, per-cascade

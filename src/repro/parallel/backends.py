@@ -14,33 +14,28 @@ in *where* tasks run:
   disjoint, so writes touch disjoint row blocks — the write-write
   conflict freedom of §IV-B — and no locks are needed.
 
-The multiprocess backend has two dispatch paths:
-
-* **arena** (default when the driver called :meth:`Backend.prepare`): the
-  corpus lives in a :class:`~repro.parallel.arena.CorpusArena` and each
-  level's split in a :class:`~repro.parallel.arena.LevelSelection`, both
-  in shared memory; a task ships as a tuple of index ranges, and workers
-  compile (and cache) their sub-corpus directly from the shared buffers.
-* **legacy**: each task pickles its sub-cascade array lists to the worker
-  — kept for direct ``run_level`` callers and as the baseline the
-  dispatch benchmark measures against.
-
-Either way, tasks are dispatched longest-predicted-first (LPT order from
+The multiprocess backend ships work one way.  :meth:`Backend.prepare`
+publishes the corpus to a :class:`~repro.parallel.arena.CorpusArena` and
+each level's split goes to a :class:`~repro.parallel.arena.LevelSelection`,
+both in shared memory; a task ships as a tuple of index ranges, and
+workers compile (and cache) their sub-corpus directly from the shared
+buffers.  Tasks are dispatched longest-predicted-first (LPT order from
 :class:`~repro.parallel.costmodel.DispatchCostEstimator`), so the level's
 straggler starts as early as possible instead of wherever ``Pool.map``'s
 chunking happened to place it.
 
 Dispatch is *supervised* (see :mod:`repro.parallel.supervision`): each
 attempt carries a deadline derived from the cost estimator, pool-process
-liveness is polled, and a crashed/hung/raising attempt is retried with
-exponential backoff down a degradation ladder — arena payload → legacy
-pickled payload → in-process serial execution — after respawning the
-worker pool (parent-owned shared segments survive; fresh workers simply
-re-attach and re-warm their compile caches).  Every retry re-seeds the
-task's embedding rows first, so faults never leak partial state.
+liveness is polled, and a crashed/hung/raising attempt is retried on a
+respawned pool with exponential backoff (parent-owned shared segments
+survive; fresh workers simply re-attach and re-warm their compile
+caches).  The last permitted attempt runs serially in the parent.  Every
+retry re-seeds the task's embedding rows first, so faults never leak
+partial state.
 
-All paths produce bit-identical results for the same task inputs because
-the block optimizer is deterministic given its initial rows.
+Pool and serial execution produce bit-identical results for the same
+task inputs because the block optimizer is deterministic given its
+initial rows.
 """
 
 from __future__ import annotations
@@ -94,8 +89,9 @@ class BlockTask:
         Global node ids of the community (sorted ascending).
     cascade_nodes, cascade_times:
         The community's sub-cascades in **local** ids — the materialized
-        (legacy / serial) representation.  ``None`` for arena-backed tasks,
-        whose corpus is addressed by index ranges instead.
+        representation :class:`SerialBackend` runs.  ``None`` for
+        arena-backed tasks, whose corpus is addressed by index ranges
+        instead.
     A_rows, B_rows:
         Initial (len(nodes), K) embedding rows (level *i* output seeds
         level *i+1*, Alg. 2).
@@ -173,7 +169,7 @@ class DispatchStats:
     :class:`~repro.parallel.supervision.FaultLogEntry`.
     """
 
-    mode: str  # "arena" | "legacy" | "empty"
+    mode: str  # "arena" | "empty"
     n_tasks: int
     wall_seconds: float
     compute_seconds: float
@@ -377,9 +373,7 @@ def _compiled_for_task(
 def _mp_worker(args: Tuple) -> Tuple:
     """Worker entry: run one block task, scatter its rows, return stats.
 
-    Dispatches on the payload tag: ``"arena"`` payloads carry only index
-    ranges into shared buffers; ``"legacy"`` payloads carry pickled
-    sub-cascade arrays.  Both return
+    The payload carries only index ranges into shared buffers.  Returns
     ``(task_idx, community_id, n_iters, final_loglik, wall_seconds,
     work_units, (compile_s, kernel_s, gather_s))`` — rows travel back
     through shared memory.
@@ -388,14 +382,7 @@ def _mp_worker(args: Tuple) -> Tuple:
     ``None``); it fires *before* any shared state is touched, so injected
     faults exercise the supervision loop deterministically.
     """
-    if args[0] == "arena":
-        return _worker_arena(args)
-    return _worker_legacy(args)
-
-
-def _worker_arena(args: Tuple) -> Tuple:
     (
-        _tag,
         task_idx,
         shm_a_name,
         shm_b_name,
@@ -445,51 +432,6 @@ def _worker_arena(args: Tuple) -> Tuple:
         sw.elapsed,
         max(1, fit.n_iters) * n_inf,
         (t1 - t0, t3 - t2, (t2 - t1) + (t4 - t3)),
-    )
-
-
-def _worker_legacy(args: Tuple) -> Tuple:
-    (
-        _tag,
-        task_idx,
-        shm_a_name,
-        shm_b_name,
-        shape,
-        community_id,
-        nodes,
-        cascade_nodes,
-        cascade_times,
-        config,
-        fault,
-    ) = args
-    inject_fault(fault)
-    # The parent owns (and unlinks) these segments; attach without letting
-    # this worker's resource tracker claim them too.
-    shm_a = _attach_cached(shm_a_name)
-    shm_b = _attach_cached(shm_b_name)
-    _prune_worker_caches((shm_a_name, shm_b_name))
-    A = np.ndarray(shape, dtype=np.float64, buffer=shm_a.buf)
-    B = np.ndarray(shape, dtype=np.float64, buffer=shm_b.buf)
-    task = BlockTask(
-        community_id=community_id,
-        nodes=nodes,
-        cascade_nodes=cascade_nodes,
-        cascade_times=cascade_times,
-        A_rows=A[nodes],  # gather (copy happens inside run_block_task)
-        B_rows=B[nodes],
-        config=config,
-    )
-    result = run_block_task(task, workspace=_worker_workspace())
-    A[nodes] = result.A_rows
-    B[nodes] = result.B_rows
-    return (
-        task_idx,
-        community_id,
-        result.n_iters,
-        result.final_loglik,
-        result.wall_seconds,
-        result.work_units,
-        (result.compile_seconds, result.kernel_seconds, result.gather_seconds),
     )
 
 
@@ -579,9 +521,8 @@ def _finalize_resources(resources: _Resources) -> None:
 class _LevelContext:
     """Per-``run_level`` state the supervised dispatch loop works against.
 
-    Holds everything needed to (re)build any task's payload at any rung —
-    so retries can degrade representation (arena → legacy → serial) and
-    reseed embedding rows without re-deriving level state.
+    Holds everything needed to (re)build any task's payload, run it
+    serially, or reseed its embedding rows without re-deriving level state.
     """
 
     tasks: List[BlockTask]
@@ -590,11 +531,10 @@ class _LevelContext:
     name_b: str
     A: np.ndarray  # parent view of the shared A block
     B: np.ndarray
-    arena_mode: bool
-    arena_meta: Optional[ArenaMeta] = None
-    sel_meta: Optional[SelectionMeta] = None
-    #: per-task (sub_lo, sub_hi, mem_lo, mem_hi) index ranges (arena mode)
-    ranges: Optional[List[Tuple[int, int, int, int]]] = None
+    arena_meta: ArenaMeta
+    sel_meta: SelectionMeta
+    #: per-task (sub_lo, sub_hi, mem_lo, mem_hi) index ranges
+    ranges: List[Tuple[int, int, int, int]]
 
 
 class MultiprocessBackend(Backend):
@@ -607,19 +547,14 @@ class MultiprocessBackend(Backend):
     context:
         ``multiprocessing`` start method; ``fork`` is the fast default on
         Linux.
-    use_arena:
-        Serve :meth:`prepare` with a shared-memory corpus arena so levels
-        dispatch zero-copy (default).  ``False`` forces the legacy
-        pickle-the-cascades path even through the hierarchical driver —
-        kept for A/B benchmarking of the dispatch overhead.
     profile_dispatch:
         Record per-level payload size and pickle time in
         :attr:`level_profiles` (costs one extra serialization per payload;
         meant for the dispatch benchmark, not production runs).
     max_retries:
-        Extra attempts per block task beyond the first; the last
-        permitted attempt always runs serially in the parent, so one
-        pathological community degrades instead of failing the run.
+        Pool attempts per block task before the last attempt, which
+        always runs serially in the parent, so one pathological
+        community degrades instead of failing the run.
         Shorthand for the corresponding :class:`SupervisionConfig` field.
     task_timeout:
         Explicit per-task deadline in seconds; ``None`` derives one from
@@ -638,7 +573,6 @@ class MultiprocessBackend(Backend):
         self,
         n_workers: Optional[int] = None,
         context: str = "fork",
-        use_arena: bool = True,
         profile_dispatch: bool = False,
         max_retries: int = 3,
         task_timeout: Optional[float] = None,
@@ -658,7 +592,6 @@ class MultiprocessBackend(Backend):
             self._pool = pool
             self._worker_pids = frozenset(p.pid for p in pool._pool)
             self._closed = False
-            self.use_arena = bool(use_arena)
             self.profile_dispatch = bool(profile_dispatch)
             self.supervision = supervision or SupervisionConfig(
                 max_retries=max_retries, task_timeout=task_timeout
@@ -692,12 +625,10 @@ class MultiprocessBackend(Backend):
 
     # ------------------------------------------------------------------ #
 
-    def prepare(self, cascades: CascadeSet) -> Optional[CorpusArena]:
-        """Publish *cascades* to a shared-memory arena (arena mode only)."""
+    def prepare(self, cascades: CascadeSet) -> CorpusArena:
+        """Publish *cascades* to a shared-memory arena for :meth:`run_level`."""
         if self._closed:
             raise RuntimeError("backend already closed")
-        if not self.use_arena:
-            return None
         if self._arena is not None:
             self._arena.close()
             self._resources.segments.remove(self._arena)
@@ -724,6 +655,11 @@ class MultiprocessBackend(Backend):
             stats = DispatchStats("empty", len(tasks), 0.0, 0.0, 0.0)
             self.level_profiles.append(stats)
             return [self._empty_result(t) for t in tasks]
+        if self._arena is None or not all(t.is_arena_backed for t in tasks):
+            raise ValueError(
+                "MultiprocessBackend runs arena-backed tasks only: call "
+                "prepare() with the corpus and build tasks from its arena"
+            )
 
         # All tasks at a level share the embedding shape; size the shared
         # blocks by the largest referenced row.
@@ -735,10 +671,7 @@ class MultiprocessBackend(Backend):
             A[t.nodes] = t.A_rows
             B[t.nodes] = t.B_rows
 
-        arena_mode = (
-            self._arena is not None
-            and all(t.is_arena_backed for t in tasks)
-        )
+        sel_meta, ranges = self._publish_selection(tasks)
         ctx = _LevelContext(
             tasks=tasks,
             shape=shape,
@@ -746,21 +679,20 @@ class MultiprocessBackend(Backend):
             name_b=name_b,
             A=A,
             B=B,
-            arena_mode=arena_mode,
+            arena_meta=self._arena.meta,
+            sel_meta=sel_meta,
+            ranges=ranges,
         )
-        if arena_mode:
-            self._publish_selection(ctx)
         if sanitize.enabled():
             self._sanitize_level(ctx)
         build_seconds = time.perf_counter() - t_start
 
         payload_bytes = pickle_seconds = None
         if self.profile_dispatch:
-            native = "arena" if arena_mode else "legacy"
             t0 = time.perf_counter()
             payload_bytes = 0
             for idx in range(len(tasks)):
-                payload = self._payload_for(ctx, idx, native, None)
+                payload = self._payload_for(ctx, idx, None)
                 payload_bytes += len(
                     pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
                 )
@@ -769,7 +701,7 @@ class MultiprocessBackend(Backend):
         # LPT dispatch: predicted-longest first, so the level's straggler
         # is in flight before the cheap tasks queue up behind it.  The
         # supervised loop keeps ≤ n_workers outstanding, applies
-        # deadlines, and retries faults down the degradation ladder.
+        # deadlines, and retries faults (pool, then serial).
         order = self.estimator.order([t.n_infections for t in tasks])
         self._level_ctx = ctx
         try:
@@ -805,7 +737,7 @@ class MultiprocessBackend(Backend):
         )
         self.level_profiles.append(
             DispatchStats(
-                mode="arena" if arena_mode else "legacy",
+                mode="arena",
                 n_tasks=len(tasks),
                 wall_seconds=time.perf_counter() - t_start,
                 compute_seconds=float(sum(r.wall_seconds for r in results)),
@@ -827,42 +759,32 @@ class MultiprocessBackend(Backend):
     def _sanitize_level(self, ctx: _LevelContext) -> None:
         """``REPRO_SANITIZE`` pre-dispatch check of the level's writes.
 
-        Workers scatter ``A[members_slice] = ...`` (arena mode) or
-        ``A[task.nodes] = ...`` (legacy mode); both must be pairwise
-        disjoint and match each task's assignment.  Arena mode validates
-        the members block *read back from the published shared segment*
+        Workers scatter ``A[members_slice] = ...``; those slices must be
+        pairwise disjoint and match each task's assignment.  The members
+        block is validated *read back from the published shared segment*
         — the exact array workers will address — so a stale digest-reuse
         or a corrupt selection write is caught before any worker runs.
         """
-        level = ctx.tasks[0].level if ctx.tasks else 0
-        cids = [t.community_id for t in ctx.tasks]
-        assigned = [np.asarray(t.nodes, dtype=np.int64) for t in ctx.tasks]
-        if ctx.arena_mode:
-            _, _, mem_v = self._selection.resident_views()
-            try:
-                sanitize.verify_selection(
-                    level,
-                    cids,
-                    assigned,
-                    mem_v,
-                    [(mem_lo, mem_hi) for (_, _, mem_lo, mem_hi) in ctx.ranges],
-                )
-            finally:
-                del mem_v
-        else:
-            ledger = sanitize.WriteLedger(level)
-            for cid, rows in zip(cids, assigned):
-                ledger.assign(cid, rows)
-                ledger.record_write(cid, rows)
-            ledger.verify()
+        _, _, mem_v = self._selection.resident_views()
+        try:
+            sanitize.verify_selection(
+                ctx.tasks[0].level,
+                [t.community_id for t in ctx.tasks],
+                [np.asarray(t.nodes, dtype=np.int64) for t in ctx.tasks],
+                mem_v,
+                [(mem_lo, mem_hi) for (_, _, mem_lo, mem_hi) in ctx.ranges],
+            )
+        finally:
+            del mem_v
 
     # ------------------------------------------------------------------ #
-    # Payload construction (per task, per degradation rung)
+    # Payload construction
     # ------------------------------------------------------------------ #
 
-    def _publish_selection(self, ctx: _LevelContext) -> None:
-        """Publish the level's selection block; record per-task ranges."""
-        tasks = ctx.tasks
+    def _publish_selection(
+        self, tasks: List[BlockTask]
+    ) -> Tuple[SelectionMeta, List[Tuple[int, int, int, int]]]:
+        """Publish the level's selection block; return per-task ranges."""
         positions = np.concatenate(
             [t.arena_positions for t in tasks]
             or [np.empty(0, dtype=np.int64)]
@@ -885,44 +807,27 @@ class MultiprocessBackend(Backend):
             g += s
             pos_base += int(t.arena_positions.size)
             mem_base += int(t.nodes.size)
-        ctx.sel_meta = self._selection.update(positions, sub_offsets, members)
-        ctx.arena_meta = self._arena.meta
-        ctx.ranges = ranges
+        return self._selection.update(positions, sub_offsets, members), ranges
 
+    @staticmethod
     def _payload_for(
-        self, ctx: _LevelContext, idx: int, rung: str, fault: Optional[Tuple]
+        ctx: _LevelContext, idx: int, fault: Optional[Tuple]
     ) -> Tuple:
-        """Build task *idx*'s payload at the given degradation rung."""
+        """Build task *idx*'s :func:`_mp_worker` payload."""
         t = ctx.tasks[idx]
-        if rung == "arena":
-            sub_lo, sub_hi, mem_lo, mem_hi = ctx.ranges[idx]
-            return (
-                "arena",
-                idx,
-                ctx.name_a,
-                ctx.name_b,
-                ctx.shape,
-                ctx.arena_meta,
-                ctx.sel_meta,
-                t.community_id,
-                sub_lo,
-                sub_hi,
-                mem_lo,
-                mem_hi,
-                t.config,
-                fault,
-            )
-        cascade_nodes, cascade_times = self._materialized_lists(t)
+        sub_lo, sub_hi, mem_lo, mem_hi = ctx.ranges[idx]
         return (
-            "legacy",
             idx,
             ctx.name_a,
             ctx.name_b,
             ctx.shape,
+            ctx.arena_meta,
+            ctx.sel_meta,
             t.community_id,
-            t.nodes,
-            cascade_nodes,
-            cascade_times,
+            sub_lo,
+            sub_hi,
+            mem_lo,
+            mem_hi,
             t.config,
             fault,
         )
@@ -932,13 +837,10 @@ class MultiprocessBackend(Backend):
     ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
         """The task's sub-cascades as local-id array lists.
 
-        Arena-backed tasks are materialized from the parent's own arena
-        views — the same gather + ``searchsorted`` remap workers perform,
-        so a degraded (legacy or serial) retry sees a bit-identical
-        corpus.
+        Materialized from the parent's own arena views — the same gather
+        + ``searchsorted`` remap workers perform, so the serial retry
+        sees a bit-identical corpus.
         """
-        if t.cascade_nodes is not None:
-            return t.cascade_nodes, t.cascade_times
         pos = t.arena_positions
         offs = t.arena_sub_offsets
         g_nodes = self._arena.nodes[pos]
@@ -958,14 +860,14 @@ class MultiprocessBackend(Backend):
     # SupervisedDispatcher host protocol
     # ------------------------------------------------------------------ #
 
-    def submit_attempt(self, idx: int, attempt: int, rung: str) -> "mp.pool.AsyncResult":
+    def submit_attempt(self, idx: int, attempt: int) -> "mp.pool.AsyncResult":
         """Dispatch one attempt of task *idx* to the current pool."""
         fault = self._fault_spec(idx, attempt)
-        payload = self._payload_for(self._level_ctx, idx, rung, fault)
+        payload = self._payload_for(self._level_ctx, idx, fault)
         return self._pool.apply_async(_mp_worker, (payload,))
 
     def run_serial_fallback(self, idx: int) -> Tuple:
-        """Final degradation rung: run the task in-process, scatter rows."""
+        """Final attempt: run the task in-process, scatter rows."""
         ctx = self._level_ctx
         t = ctx.tasks[idx]
         cascade_nodes, cascade_times = self._materialized_lists(t)
@@ -1034,11 +936,6 @@ class MultiprocessBackend(Backend):
         return self.estimator.deadline(
             t.n_infections, factor=cfg.timeout_factor, floor=cfg.timeout_floor
         )
-
-    def task_rungs(self, idx: int) -> Tuple[str, ...]:
-        if self._level_ctx.arena_mode:
-            return ("arena", "legacy", "serial")
-        return ("legacy", "serial")
 
     def task_community(self, idx: int) -> int:
         return self._level_ctx.tasks[idx].community_id

@@ -16,9 +16,8 @@ adoption events arrive:
   backpressure and per-request latency accounting;
 * :mod:`repro.serving.service` — the synchronous, thread-safe scoring
   core tying the three together;
-* :mod:`repro.serving.client` — in-process synchronous client, plus a
-  reconnecting TCP client speaking the server's wire protocol (the
-  replay harness's remote feed point);
+* :mod:`repro.serving.client` — reconnecting TCP client speaking the
+  server's wire protocol (the replay harness's remote feed point);
 * :mod:`repro.serving.server` — asyncio newline-JSON front end
   (TCP or stdio) with bounded reads, per-connection timeouts, and
   supervised background tasks; wired into the CLI as ``repro serve``;
@@ -47,7 +46,6 @@ from repro.serving.batching import (
 )
 from repro.serving.client import (
     RemoteError,
-    ScoringClient,
     ServerUnreachableError,
     TCPScoringClient,
 )
@@ -102,7 +100,6 @@ __all__ = [
     "ScoreColumns",
     "ScoreRequest",
     "ScoreResult",
-    "ScoringClient",
     "ScoringServer",
     "ScoringService",
     "ScoringWorkspace",

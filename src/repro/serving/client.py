@@ -1,12 +1,9 @@
-"""Synchronous clients for the scoring service: in-process and TCP.
+"""Synchronous TCP client for the scoring service.
 
-:class:`ScoringClient` is the embed-in-your-pipeline interface: no
-sockets, no event loop — just direct calls into the (thread-safe)
-service.  It is what the examples and benchmarks drive, and the
-reference for what the wire protocol in :mod:`repro.serving.server`
-must express.
-
-:class:`TCPScoringClient` speaks that wire protocol over a socket with
+In-process callers use the (thread-safe)
+:class:`~repro.serving.service.ScoringService` directly.
+:class:`TCPScoringClient` speaks the wire protocol of
+:mod:`repro.serving.server` over a socket with
 the hardening a replay run needs: lazy connect, reconnect with bounded
 exponential backoff when the server drops mid-exchange (requests are
 re-sent — at-least-once delivery; the store's duplicate filter makes
@@ -25,73 +22,13 @@ from typing import IO, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serving.batching import QueueFullError, ScoreResult
-from repro.serving.service import ScoringService
+from repro.serving.batching import QueueFullError
 
 __all__ = [
     "RemoteError",
-    "ScoringClient",
     "ServerUnreachableError",
     "TCPScoringClient",
 ]
-
-
-class ScoringClient:
-    """Synchronous façade over a :class:`ScoringService`.
-
-    Safe to share between threads (the service serializes internally).
-    """
-
-    def __init__(self, service: ScoringService) -> None:
-        self.service = service
-
-    def ingest(self, cascade_id: str, node: int, t: float) -> bool:
-        """Report one adoption event; ``False`` for duplicate adopters."""
-        return self.service.ingest(cascade_id, node, t)
-
-    def ingest_many(self, events: Sequence[Tuple[str, int, float]]) -> int:
-        """Report a burst of ``(cascade_id, node, t)`` events; returns
-        how many were new (non-duplicate).
-
-        Rides the vectorized batch-fold path: one lock round-trip and
-        one snapshot for the whole burst, and each touched cascade folds
-        its share of the burst in one vectorized update.
-        """
-        return self.service.ingest_many(events)
-
-    def ingest_columns(
-        self,
-        cascade_ids: Sequence[str],
-        nodes: np.ndarray,
-        times: np.ndarray,
-    ) -> int:
-        """Columnar :meth:`ingest_many` — three parallel columns, no
-        per-event tuple boxing; the fastest way to hand over a burst a
-        producer already holds struct-of-arrays."""
-        return self.service.ingest_columns(cascade_ids, nodes, times)
-
-    def score(self, cascade_id: str, include_features: bool = False) -> ScoreResult:
-        """Score one cascade now (batch-of-one; pays the full call cost)."""
-        return self.service.score(cascade_id, include_features=include_features)
-
-    def score_many(
-        self, cascade_ids: Sequence[str], include_features: bool = False
-    ) -> List[ScoreResult]:
-        """Score a group of cascades through the micro-batched path.
-
-        All requests are submitted first, then flushed together — one
-        snapshot read and one vectorized SVM evaluation per
-        ``max_batch`` requests instead of one per cascade.
-        """
-        requests = self.service.submit_many(
-            cascade_ids, include_features=include_features
-        )
-        while any(r.result is None for r in requests):
-            self.service.flush()
-        return [r.result for r in requests if r.result is not None]
-
-    def stats(self) -> Dict[str, object]:
-        return self.service.stats()
 
 
 class ServerUnreachableError(ConnectionError):
@@ -285,7 +222,7 @@ class TCPScoringClient:
         raise RemoteError(error)
 
     # ------------------------------------------------------------------ #
-    # Operations (mirror :class:`ScoringClient`)
+    # Operations (mirror :class:`~repro.serving.service.ScoringService`)
     # ------------------------------------------------------------------ #
 
     def ping(self) -> bool:

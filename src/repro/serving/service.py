@@ -1,8 +1,7 @@
 """The synchronous scoring core: trackers + registry + micro-batching.
 
-:class:`ScoringService` is the piece every front end shares (the
-in-process :class:`~repro.serving.client.ScoringClient`, the asyncio
-server, the benchmarks).  It is thread-safe — one re-entrant lock
+:class:`ScoringService` is the piece every front end shares (in-process
+callers, the asyncio server, the benchmarks).  It is thread-safe — one re-entrant lock
 serializes ingest/flush/sweep — and clock-agnostic: all timing uses the
 injected monotonic clock, so tests can drive time deterministically.
 
@@ -332,8 +331,8 @@ class ScoringService:
         """Queue a burst of score requests under one lock acquisition.
 
         Burst arrivals (a poll cycle, a replayed stream segment) pay one
-        lock round-trip and one clock read instead of one per request —
-        this is what the in-process client's ``score_many`` rides.
+        lock round-trip and one clock read instead of one per request;
+        a following :meth:`flush` scores them together.
         """
         with self._lock:
             now = self._clock()

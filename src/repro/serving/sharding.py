@@ -8,7 +8,7 @@ the front door:
 
 * :class:`ShardedScoringService` is the router.  It duck-types the
   synchronous :class:`ScoringService` surface the asyncio server and
-  the in-process client consume (ingest/submit/flush/publish/stats/
+  in-process callers consume (ingest/submit/flush/publish/stats/
   health/drain), so ``repro serve --shards N`` is a flag, not a fork of
   the serving tier.
 * Each worker (:func:`_shard_main`) runs a full single-process
@@ -350,7 +350,7 @@ class ShardedScoringService:
     """Hash-routing front end over N single-process shard workers.
 
     Duck-types the :class:`ScoringService` surface the asyncio server,
-    the in-process client, and the CLI consume.  Thread-safe the same
+    in-process callers, and the CLI consume.  Thread-safe the same
     way: one re-entrant router lock serializes every entry point —
     parallelism comes from the fan-out *inside* a call (all involved
     workers compute their pieces concurrently), not from concurrent

@@ -1,9 +1,10 @@
 """Integration: injected worker faults must not change results.
 
 The supervision loop's contract is that crashes, hangs, and exceptions
-are invisible in the output: every fault path (retry, degradation rung,
-pool respawn, reseed) reproduces the :class:`SerialBackend` embeddings
-bit-for-bit, and no shared-memory segment outlives the backend.
+are invisible in the output: every fault path (pool retry, the final
+serial attempt, pool respawn, reseed) reproduces the
+:class:`SerialBackend` embeddings bit-for-bit, and no shared-memory
+segment outlives the backend.
 
 Faults are driven by the test-only ``_FaultPlan`` shipped inside worker
 payloads, so each scenario is deterministic — no reliance on timing.
@@ -87,15 +88,15 @@ class TestInjectedException:
 
     def test_degradation_ladder_arena_then_serial(self, world, reference):
         ref_model, _ = reference
-        # failing attempts 0 and 1 walks arena -> legacy -> serial
-        plan = _FaultPlan(task_idx=0, action="raise", attempts=(0, 1))
+        # max_retries=3 (the default) permits three pool attempts; failing
+        # all of them walks arena -> arena -> arena -> serial
+        plan = _FaultPlan(task_idx=0, action="raise", attempts=(0, 1, 2))
         model, result, _ = _fit_with_faults(world, plan)
         _assert_identical(model, ref_model)
-        per_level = {}
+        per_attempt = {}
         for e in result.fault_log:
-            per_level.setdefault(e.attempt, e.fallback)
-        assert per_level[0] == "legacy"
-        assert per_level[1] == "serial"
+            per_attempt.setdefault(e.attempt, e.fallback)
+        assert per_attempt == {0: "arena", 1: "arena", 2: "serial"}
 
 
 class TestWorkerCrash:
@@ -111,13 +112,6 @@ class TestWorkerCrash:
         # (arena, selection, A/B) must be gone despite the respawns
         leaked = _shm_entries() - before
         assert leaked == set(), f"leaked shared memory: {leaked}"
-
-    def test_crash_in_legacy_mode(self, world, reference):
-        ref_model, _ = reference
-        plan = _FaultPlan(task_idx=0, action="exit", attempts=(0,))
-        model, result, respawns = _fit_with_faults(world, plan, use_arena=False)
-        _assert_identical(model, ref_model)
-        assert respawns >= 1
 
 
 class TestHungWorker:

@@ -1,4 +1,4 @@
-"""Unit tests for the scoring service core and the in-process client.
+"""Unit tests for the scoring service core.
 
 Includes the concurrency acceptance test: scoring threads race against
 a publisher storm and every result must be attributable to exactly one
@@ -16,7 +16,6 @@ from repro.embedding.model import EmbeddingModel
 from repro.prediction.features import PAPER_FEATURES, extract_features
 from repro.prediction.pipeline import PredictionDataset, ViralityPredictor
 from repro.serving.batching import BatchPolicy, QueueFullError
-from repro.serving.client import ScoringClient
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import ScoringService
 from repro.serving.tracker import StoreConfig
@@ -95,6 +94,15 @@ class TestIngestScore:
         assert len(results) == 3
         assert all(r.latency.batch_size == 3 for r in results)
         assert [r.request_id for r in results] == [r.request_id for r in requests]
+
+    def test_submit_many_flushes_as_one_batch(self, service):
+        for i, cid in enumerate(("a", "b", "c", "d")):
+            service.ingest(cid, i, 0.0)
+        requests = service.submit_many(["a", "b", "c", "d", "ghost"])
+        results = service.flush()
+        assert [r.result for r in requests] == results
+        assert [r.status for r in results] == ["ok"] * 4 + ["unknown_cascade"]
+        assert all(r.latency.batch_size == 5 for r in results)
 
     def test_flush_empty_queue(self, service):
         assert service.flush() == []
@@ -273,23 +281,3 @@ class TestSwapDuringScoring:
         assert failures == []
         assert reg.n_published == 40
 
-
-class TestScoringClient:
-    def test_client_roundtrip(self, service):
-        client = ScoringClient(service)
-        n_new = client.ingest_many([("a", 3, 0.0), ("a", 7, 0.2), ("a", 3, 0.5)])
-        assert n_new == 2  # duplicate adopter dropped
-        result = client.score("a")
-        assert result.ok and result.n_early == 2
-
-    def test_score_many_batches(self, service):
-        client = ScoringClient(service)
-        for i, cid in enumerate(("a", "b", "c", "d")):
-            client.ingest(cid, i, 0.0)
-        results = client.score_many(["a", "b", "c", "d", "ghost"])
-        assert [r.status for r in results] == ["ok"] * 4 + ["unknown_cascade"]
-        assert all(r.latency.batch_size == 5 for r in results)
-
-    def test_stats_passthrough(self, service):
-        client = ScoringClient(service)
-        assert client.stats()["model_version"] == 1

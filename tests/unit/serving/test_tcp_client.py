@@ -1,7 +1,7 @@
 """Unit tests for the reconnecting TCP scoring client.
 
 The client's contract: same operation surface as the in-process
-:class:`ScoringClient`, at-least-once delivery across a server restart
+:class:`ScoringService`, at-least-once delivery across a server restart
 (invisible inside the reconnect budget), a clean
 :class:`ServerUnreachableError` past it, and remote "queue full"
 rejects mapped onto :class:`QueueFullError` so replay backpressure

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.cascades.types import Cascade, CascadeSet
+from repro.community.mergetree import MergeTree
+from repro.community.partition import Partition
 from repro.embedding.model import EmbeddingModel
 from repro.embedding.optimizer import OptimizerConfig
 from repro.parallel.backends import (
@@ -14,6 +16,7 @@ from repro.parallel.backends import (
     SerialBackend,
     run_block_task,
 )
+from repro.parallel.hierarchical import HierarchicalInference
 
 
 def make_tasks(seed=0, n_comm=2):
@@ -37,6 +40,27 @@ def make_tasks(seed=0, n_comm=2):
             )
         )
     return tasks
+
+
+def arena_tasks(backend, seed=0, n_comm=2):
+    """:func:`make_tasks`' level as arena-backed tasks on *backend*.
+
+    Publishes the same corpus and seed rows through ``backend.prepare``
+    and splits them with the hierarchical driver, so results compare
+    bit-for-bit with ``SerialBackend().run_level(make_tasks(seed))``.
+    """
+    tasks = make_tasks(seed, n_comm)
+    n = 3 * n_comm
+    cs = CascadeSet(n)
+    model = EmbeddingModel(np.zeros((n, 2)), np.zeros((n, 2)))
+    for t in tasks:
+        for nodes, times in zip(t.cascade_nodes, t.cascade_times):
+            cs.append(Cascade(t.nodes[nodes], times))
+        model.A[t.nodes] = t.A_rows
+        model.B[t.nodes] = t.B_rows
+    part = Partition(np.repeat(np.arange(n_comm), 3))
+    driver = HierarchicalInference(MergeTree(part, stop_at=1), tasks[0].config)
+    return driver._arena_tasks(0, part, model, backend.prepare(cs))
 
 
 class TestRunBlockTask:
@@ -86,12 +110,12 @@ class TestMultiprocessBackend:
     def test_matches_serial_exactly(self):
         serial = SerialBackend().run_level(make_tasks())
         with MultiprocessBackend(n_workers=2) as backend:
-            parallel = backend.run_level(make_tasks())
+            parallel = backend.run_level(arena_tasks(backend))
         for s, p in zip(serial, parallel):
-            assert np.allclose(s.A_rows, p.A_rows)
-            assert np.allclose(s.B_rows, p.B_rows)
+            assert np.array_equal(s.A_rows, p.A_rows)
+            assert np.array_equal(s.B_rows, p.B_rows)
             assert s.n_iters == p.n_iters
-            assert s.final_loglik == pytest.approx(p.final_loglik)
+            assert s.final_loglik == p.final_loglik
 
     def test_empty_level(self):
         with MultiprocessBackend(n_workers=1) as backend:
@@ -99,9 +123,17 @@ class TestMultiprocessBackend:
 
     def test_reuse_across_levels(self):
         with MultiprocessBackend(n_workers=2) as backend:
-            r1 = backend.run_level(make_tasks(seed=1))
-            r2 = backend.run_level(make_tasks(seed=2))
+            r1 = backend.run_level(arena_tasks(backend, seed=1))
+            r2 = backend.run_level(arena_tasks(backend, seed=2))
         assert len(r1) == len(r2) == 2
+
+    @pytest.mark.parametrize("prepared", [False, True])
+    def test_rejects_materialized_tasks(self, prepared):
+        with MultiprocessBackend(n_workers=1) as backend:
+            if prepared:
+                arena_tasks(backend)
+            with pytest.raises(ValueError, match=r"prepare\(\)"):
+                backend.run_level(make_tasks())
 
     def test_closed_backend_rejects(self):
         backend = MultiprocessBackend(n_workers=1)
@@ -132,15 +164,18 @@ def test_run_block_task_rejects_arena_only_task():
 class TestEmptyNodeLevels:
     """A level whose tasks all have empty node sets must not crash."""
 
-    def _empty_task(self, cid):
+    def _empty_task(self, cid, arena_backed=False):
+        empty = np.empty(0, dtype=np.int64)
         return BlockTask(
             community_id=cid,
-            nodes=np.empty(0, dtype=np.int64),
-            cascade_nodes=[],
-            cascade_times=[],
+            nodes=empty,
+            cascade_nodes=None if arena_backed else [],
+            cascade_times=None if arena_backed else [],
             A_rows=np.empty((0, 2)),
             B_rows=np.empty((0, 2)),
             config=OptimizerConfig(max_iters=5),
+            arena_positions=empty if arena_backed else None,
+            arena_sub_offsets=np.zeros(1, dtype=np.int64) if arena_backed else None,
         )
 
     def test_all_empty_returns_empty_rows(self):
@@ -154,9 +189,9 @@ class TestEmptyNodeLevels:
             assert r.work_units == 0
 
     def test_mixed_empty_and_real(self):
-        tasks = make_tasks()
-        tasks.append(self._empty_task(9))
         with MultiprocessBackend(n_workers=2) as backend:
+            tasks = arena_tasks(backend)
+            tasks.append(self._empty_task(9, arena_backed=True))
             results = backend.run_level(tasks)
         assert [r.community_id for r in results] == [0, 1, 9]
         assert results[2].A_rows.shape == (0, 2)
@@ -201,16 +236,16 @@ class TestLeakSafety:
 
     def test_close_releases_resources(self):
         backend = MultiprocessBackend(n_workers=1)
-        backend.run_level(make_tasks())
+        backend.run_level(arena_tasks(backend))
         backend.close()
         assert backend._resources.released
 
 
 class TestDispatchOrderingAndProfiles:
     def test_lpt_order_does_not_change_results(self):
-        serial = SerialBackend().run_level(make_tasks())
+        serial = SerialBackend().run_level(make_tasks(n_comm=4))
         with MultiprocessBackend(n_workers=2) as backend:
-            parallel = backend.run_level(make_tasks())
+            parallel = backend.run_level(arena_tasks(backend, n_comm=4))
         for s, p in zip(serial, parallel):
             assert np.array_equal(s.A_rows, p.A_rows)
             assert np.array_equal(s.B_rows, p.B_rows)
@@ -219,17 +254,17 @@ class TestDispatchOrderingAndProfiles:
     def test_estimator_calibrates_across_levels(self):
         with MultiprocessBackend(n_workers=2) as backend:
             assert backend.estimator.n_observed_levels == 0
-            backend.run_level(make_tasks(seed=1))
+            backend.run_level(arena_tasks(backend, seed=1))
             assert backend.estimator.n_observed_levels == 1
             assert backend.estimator.seconds_per_work_unit is not None
-            backend.run_level(make_tasks(seed=2))
+            backend.run_level(arena_tasks(backend, seed=2))
             assert backend.estimator.n_observed_levels == 2
 
     def test_level_profiles_recorded(self):
         with MultiprocessBackend(n_workers=2, profile_dispatch=True) as backend:
-            backend.run_level(make_tasks())
+            backend.run_level(arena_tasks(backend))
         (stats,) = backend.level_profiles
-        assert stats.mode == "legacy"  # no prepare() -> materialized path
+        assert stats.mode == "arena"
         assert stats.n_tasks == 2
         assert stats.payload_bytes > 0
         assert stats.payload_pickle_seconds > 0
@@ -250,33 +285,6 @@ class TestArenaDispatch:
         cs.append(Cascade([1, 0, 5], [0.0, 0.2, 1.1]))
         cs.append(Cascade([2, 1], [0.0, 0.4]))
         return cs
-
-    def _fit_pair(self, use_arena):
-        from repro.community.mergetree import MergeTree
-        from repro.community.partition import Partition
-        from repro.embedding.model import EmbeddingModel
-        from repro.parallel.hierarchical import HierarchicalInference
-
-        cs = self._world()
-        tree = MergeTree(Partition([0, 0, 0, 1, 1, 0]), stop_at=1)
-        cfg = OptimizerConfig(max_iters=10)
-        model = EmbeddingModel.random(6, 2, seed=3)
-        with MultiprocessBackend(n_workers=2, use_arena=use_arena) as backend:
-            HierarchicalInference(tree, cfg, backend).fit(model, cs)
-            modes = [p.mode for p in backend.level_profiles]
-        return model, modes
-
-    def test_arena_mode_used_and_matches_legacy(self):
-        m_arena, modes_arena = self._fit_pair(use_arena=True)
-        m_legacy, modes_legacy = self._fit_pair(use_arena=False)
-        assert set(modes_arena) == {"arena"}
-        assert set(modes_legacy) == {"legacy"}
-        assert np.array_equal(m_arena.A, m_legacy.A)
-        assert np.array_equal(m_arena.B, m_legacy.B)
-
-    def test_prepare_returns_none_when_disabled(self):
-        with MultiprocessBackend(n_workers=1, use_arena=False) as backend:
-            assert backend.prepare(self._world()) is None
 
     def test_prepare_after_close_raises(self):
         backend = MultiprocessBackend(n_workers=1)

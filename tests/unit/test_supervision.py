@@ -1,7 +1,7 @@
 """Unit tests for the supervised dispatch loop (fake host, no processes).
 
 A fake host lets every supervision path — retry ladder, fault accounting,
-timeouts, crashes, exhaustion — run deterministically in-process.  The
+timeouts, crashes — run deterministically in-process.  The
 real-pool behaviour (actual kills, hangs, respawns) is exercised by
 ``tests/integration/test_fault_tolerance.py``.
 """
@@ -14,7 +14,6 @@ from repro.parallel.supervision import (
     InjectedFault,
     SupervisedDispatcher,
     SupervisionConfig,
-    TaskFailedError,
     _FaultPlan,
     inject_fault,
 )
@@ -96,20 +95,18 @@ def _record(idx):
 class FakeHost:
     """Host protocol stub: configurable failures, no real processes."""
 
-    def __init__(self, fail=None, rungs=("arena", "legacy", "serial"),
-                 deadlines=None, never_ready=()):
+    def __init__(self, fail=None, deadlines=None, never_ready=()):
         self.fail = fail or {}  # idx -> attempts that raise in the "worker"
-        self.rungs = tuple(rungs)
         self.deadlines = deadlines or {}
         self.never_ready = set(never_ready)  # (idx, attempt) that hang
         self.damaged = False
         self.reseeds = []
         self.respawns = 0
         self.serial_runs = []
-        self.submissions = []  # (idx, attempt, rung)
+        self.submissions = []  # (idx, attempt)
 
-    def submit_attempt(self, idx, attempt, rung):
-        self.submissions.append((idx, attempt, rung))
+    def submit_attempt(self, idx, attempt):
+        self.submissions.append((idx, attempt))
 
         def fn():
             if attempt in self.fail.get(idx, ()):
@@ -135,9 +132,6 @@ class FakeHost:
     def task_deadline(self, idx):
         return self.deadlines.get(idx)
 
-    def task_rungs(self, idx):
-        return self.rungs
-
     def task_community(self, idx):
         return 100 + idx
 
@@ -160,8 +154,8 @@ class TestCleanDispatch:
         out = _dispatch(host, 5)
         assert sorted(out.records) == [0, 1, 2, 3, 4]
         assert out.fault_log == [] and out.n_retries == 0 and out.n_respawns == 0
-        # one submission per task, all at attempt 0 on the first rung
-        assert sorted(host.submissions) == [(i, 0, "arena") for i in range(5)]
+        # one pool submission per task, all at attempt 0
+        assert sorted(host.submissions) == [(i, 0) for i in range(5)]
 
     def test_empty_order(self):
         out = _dispatch(FakeHost(), 0)
@@ -171,32 +165,42 @@ class TestCleanDispatch:
 class TestRetryLadder:
     def test_rung_escalation(self):
         d = SupervisedDispatcher(FakeHost(), SupervisionConfig(max_retries=3), 2)
-        assert d._rung_for(0, 0) == "arena"
-        assert d._rung_for(0, 1) == "legacy"
-        assert d._rung_for(0, 2) == "serial"
-        # final permitted attempt is always serial, whatever the ladder says
-        assert d._rung_for(0, 3) == "serial"
+        assert [d._rung_for(a) for a in range(4)] == ["arena"] * 3 + ["serial"]
 
     def test_short_ladder_final_attempt_serial(self):
-        host = FakeHost(rungs=("legacy", "serial"))
-        d = SupervisedDispatcher(host, SupervisionConfig(max_retries=3), 2)
-        assert d._rung_for(0, 0) == "legacy"
-        assert d._rung_for(0, 1) == "serial"
-        assert d._rung_for(0, 3) == "serial"
+        d = SupervisedDispatcher(FakeHost(), SupervisionConfig(max_retries=1), 2)
+        assert d._rung_for(0) == "arena"
+        assert d._rung_for(1) == "serial"
 
     def test_zero_retries_runs_straight_to_last_rung(self):
         host = FakeHost()
-        d = SupervisedDispatcher(host, SupervisionConfig(max_retries=0), 2)
-        assert d._rung_for(0, 0) == "serial"
+        out = _dispatch(host, 3, max_retries=0)
+        assert sorted(out.records) == [0, 1, 2]
+        assert host.submissions == []
+        assert sorted(host.serial_runs) == [0, 1, 2]
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_max_retries_gives_k_pool_attempts_then_serial(self, k):
+        # every pool attempt of task 0 fails: exactly k of them, then serial
+        host = FakeHost(fail={0: tuple(range(k))})
+        out = _dispatch(host, 1, max_retries=k)
+        assert host.submissions == [(0, a) for a in range(k)]
+        assert host.serial_runs == [0]
+        assert out.records[0] == _record(0)
+        assert out.n_retries == k
+        assert [e.fallback for e in out.fault_log] == (
+            ["arena"] * (k - 1) + ["serial"] if k else []
+        )
 
     def test_exception_walks_the_ladder(self):
-        # task 1 raises at attempts 0 and 1 -> arena, legacy fail; serial wins
+        # task 1 raises at attempts 0 and 1 -> both pool attempts fail;
+        # the final serial attempt wins
         host = FakeHost(fail={1: (0, 1)})
-        out = _dispatch(host, 3, max_retries=3)
+        out = _dispatch(host, 3, max_retries=2)
         assert sorted(out.records) == [0, 1, 2]
         assert out.n_retries == 2
         assert [(e.attempt, e.cause, e.fallback) for e in out.fault_log] == [
-            (0, "exception", "legacy"),
+            (0, "exception", "arena"),
             (1, "exception", "serial"),
         ]
         assert host.serial_runs == [1]
@@ -209,24 +213,12 @@ class TestRetryLadder:
         assert len(out.records) == 4
         assert all(out.records[i][0] == i for i in range(4))
 
-    def test_exhaustion_raises_with_history(self):
-        # ladder that never reaches an unkillable rung: exhausting the
-        # budget must raise, carrying every attempt's cause
-        host = FakeHost(fail={0: (0, 1)}, rungs=("legacy",))
-        with pytest.raises(TaskFailedError) as exc_info:
-            _dispatch(host, 1, max_retries=1)
-        err = exc_info.value
-        assert err.task_idx == 0 and err.community_id == 100
-        assert [e.attempt for e in err.entries] == [0, 1]
-        assert "attempt 1: exception" in str(err)
-
 
 class TestTimeouts:
     def test_hung_task_times_out_and_degrades(self):
         # attempt 0 never completes; deadline expires, respawn, retry
-        host = FakeHost(deadlines={0: 0.01}, never_ready={(0, 0)},
-                        rungs=("legacy", "serial"))
-        out = _dispatch(host, 1, max_retries=3)
+        host = FakeHost(deadlines={0: 0.01}, never_ready={(0, 0)})
+        out = _dispatch(host, 1, max_retries=1)
         assert out.records[0] == _record(0)
         assert out.n_respawns == 1 and out.n_retries == 1
         (entry,) = out.fault_log
@@ -238,18 +230,16 @@ class TestTimeouts:
         # task 0 hangs past its deadline; task 1 is in flight in the same
         # generation with no deadline -> requeued at the SAME attempt with
         # no fault entry of its own
-        host = FakeHost(deadlines={0: 0.01},
-                        never_ready={(0, 0), (1, 0)},
-                        rungs=("legacy", "serial"))
+        host = FakeHost(deadlines={0: 0.01}, never_ready={(0, 0), (1, 0)})
 
         # second submission of task 1 completes
         orig_submit = host.submit_attempt
 
-        def submit(idx, attempt, rung):
+        def submit(idx, attempt):
             if idx == 1 and len([s for s in host.submissions if s[0] == 1]) >= 1:
-                host.submissions.append((idx, attempt, rung))
+                host.submissions.append((idx, attempt))
                 return FakeResult(lambda: _record(1), ready=True)
-            return orig_submit(idx, attempt, rung)
+            return orig_submit(idx, attempt)
 
         host.submit_attempt = submit
         out = _dispatch(host, 2, max_retries=3)
@@ -257,12 +247,12 @@ class TestTimeouts:
         task1_faults = [e for e in out.fault_log if e.task_idx == 1]
         assert task1_faults == []
         task1_subs = [s for s in host.submissions if s[0] == 1]
-        assert [a for _, a, _ in task1_subs] == [0, 0]  # attempt not burned
+        assert [a for _, a in task1_subs] == [0, 0]  # attempt not burned
 
 
 class TestCrashes:
     def test_dead_generation_burns_an_attempt(self):
-        host = FakeHost(never_ready={(0, 0)}, rungs=("legacy", "serial"))
+        host = FakeHost(never_ready={(0, 0)})
         host.damaged = True  # a worker is already dead when dispatch starts
         out = _dispatch(host, 1, max_retries=3)
         assert out.records[0] == _record(0)
