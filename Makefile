@@ -53,17 +53,20 @@ bench:
 ## against the journal, recovery, the supervised server, and the sharded
 ## tier (SIGKILL a shard mid-burst → watchdog restart + journal replay to
 ## bit-identical state), plus the replay legs (slow consumer, scoring
-## server restart mid-replay, SIGKILL a shard mid-replay) — run with the
-## runtime sanitizer armed so dispatch-side invariants are checked too
+## server restart mid-replay, SIGKILL a shard mid-replay), plus the record
+## codec's unit tests and byte-level fuzz — run with the runtime sanitizer
+## armed so dispatch-side invariants are checked too
 chaos:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q \
 		tests/unit/serving/test_durability.py \
+		tests/unit/serving/test_frames.py \
 		tests/unit/serving/test_server.py \
 		tests/unit/serving/test_sharding.py \
 		tests/unit/serving/test_tcp_client.py \
 		tests/unit/ingest/test_replay_chaos.py \
 		tests/unit/devtools/test_lock_sanitizer.py \
-		tests/property/test_prop_durability.py
+		tests/property/test_prop_durability.py \
+		tests/property/test_prop_frames.py
 
 ## arena dispatch-overhead benchmark (absolute payload/overhead gates);
 ## writes BENCH_parallel.json

@@ -1,28 +1,16 @@
-"""Recorded event streams: a versioned, crc-framed on-disk format.
+"""Recorded event streams: ``repro record`` files that ``repro replay`` plays.
 
 ``repro record`` captures any :class:`~repro.ingest.sources.EventSource`
 into a single file that ``repro replay`` can re-play at Nx real-time.
-The layout deliberately mirrors the serving journal (DESIGN.md §14) so
-the two formats share one failure model:
-
-- an 8-byte header: magic ``REVS``, a format version, a reserved word;
-- then frames of ``<u32 length><u32 crc32><payload>``;
-- each payload is one recorded batch in the ``ingest_columns`` wire
-  shape: ``<u8 rtype><u32 n_events><u32 cid_blob_len>`` + a JSON-encoded
-  cascade-id list + the int64 node column + the float64 time column.
-
-Unlike the journal — a live artifact where a torn tail is expected and
-repaired — a recording is an offline corpus: any mismatch (bad magic,
-unknown version, crc failure, truncated frame) raises
-:class:`RecordingCorruptError` rather than being silently trimmed.
+The file is magic ``REVS`` in the record codec the serving journal
+shares (:mod:`repro.serving.frames`, DESIGN.md §14.1), one events
+record per batch.  Unlike the journal, a recording never repairs: any
+damage raises :class:`RecordingCorruptError`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from types import TracebackType
@@ -38,9 +26,15 @@ from typing import (
     Type,
 )
 
-import numpy as np
-
 from repro.ingest.sources import EventBatch
+from repro.serving.frames import (
+    CorruptFrameError,
+    decode_events,
+    encode_events,
+    frame,
+    header,
+    read_frames,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ingest.sources import EventSource
@@ -58,10 +52,6 @@ __all__ = [
 
 _MAGIC = b"REVS"
 _VERSION = 1
-_HEADER = struct.Struct("<4sHH")  # magic, version, reserved
-_FRAME = struct.Struct("<II")  # payload length, crc32(payload)
-_BATCH_HEAD = struct.Struct("<BII")  # rtype, n_events, cid_blob length
-_RT_BATCH = 1
 
 
 class RecordingError(RuntimeError):
@@ -72,34 +62,12 @@ class RecordingCorruptError(RecordingError):
     """The recording violates the framed format (crc, magic, truncation)."""
 
 
-def _encode_batch(batch: EventBatch) -> bytes:
-    cid_blob = json.dumps(list(batch.cascade_ids)).encode("utf-8")
-    head = _BATCH_HEAD.pack(_RT_BATCH, len(batch), len(cid_blob))
-    return b"".join(
-        (head, cid_blob, batch.nodes.tobytes(), batch.times.tobytes())
-    )
-
-
-def _decode_batch(payload: bytes) -> EventBatch:
-    if len(payload) < _BATCH_HEAD.size:
-        raise RecordingCorruptError("record payload shorter than its header")
-    rtype, n, cid_len = _BATCH_HEAD.unpack_from(payload)
-    if rtype != _RT_BATCH:
-        raise RecordingCorruptError(f"unknown record type {rtype}")
-    off = _BATCH_HEAD.size
-    expected = off + cid_len + 8 * n + 8 * n
-    if len(payload) != expected:
-        raise RecordingCorruptError(
-            f"record payload is {len(payload)} bytes, expected {expected}"
-        )
-    cids = json.loads(payload[off : off + cid_len].decode("utf-8"))
-    off += cid_len
-    nodes = np.frombuffer(payload, dtype=np.int64, count=n, offset=off)
-    off += 8 * n
-    times = np.frombuffer(payload, dtype=np.float64, count=n, offset=off)
-    if not isinstance(cids, list) or len(cids) != n:
-        raise RecordingCorruptError("cascade-id column does not match n_events")
-    return EventBatch(cids, nodes, times)
+def _to_batch(payload: bytes) -> EventBatch:
+    cids, nodes, times = decode_events(payload)
+    try:
+        return EventBatch(cids, nodes, times)
+    except ValueError as exc:  # unordered or non-finite times
+        raise CorruptFrameError(f"invalid batch: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -142,7 +110,7 @@ class StreamWriter:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._fh: Optional[BinaryIO] = self.path.open("wb")
-        self._fh.write(_HEADER.pack(_MAGIC, _VERSION, 0))
+        self._fh.write(header(_MAGIC, _VERSION))
         self.n_records = 0
         self.n_events = 0
         self._t_last: Optional[float] = None
@@ -157,9 +125,7 @@ class StreamWriter:
                 f"out-of-order batch: starts at {batch.t_first:.6f} but the "
                 f"stream is already at {self._t_last:.6f}"
             )
-        payload = _encode_batch(batch)
-        self._fh.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
-        self._fh.write(payload)
+        self._fh.write(frame(encode_events(batch.cascade_ids, batch.nodes, batch.times)))
         self.n_records += 1
         self.n_events += len(batch)
         self._t_last = batch.t_last
@@ -191,45 +157,14 @@ class StreamWriter:
         self.close()
 
 
-def _read_header(fh: BinaryIO, path: Path) -> None:
-    head = fh.read(_HEADER.size)
-    if len(head) != _HEADER.size:
-        raise RecordingCorruptError(f"{path}: truncated header")
-    magic, version, _ = _HEADER.unpack(head)
-    if magic != _MAGIC:
-        raise RecordingCorruptError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise RecordingCorruptError(
-            f"{path}: unsupported stream version {version}"
-        )
-
-
 def iter_batches(path: str | Path) -> Iterator[EventBatch]:
-    """Yield recorded batches in order, verifying every frame's crc."""
+    """Yield recorded batches in order; any damage raises :class:`RecordingCorruptError`."""
     path = Path(path)
     with path.open("rb") as fh:
-        _read_header(fh, path)
-        index = 0
-        while True:
-            frame = fh.read(_FRAME.size)
-            if not frame:
-                return
-            if len(frame) != _FRAME.size:
-                raise RecordingCorruptError(
-                    f"{path}: truncated frame header at record {index}"
-                )
-            length, crc = _FRAME.unpack(frame)
-            payload = fh.read(length)
-            if len(payload) != length:
-                raise RecordingCorruptError(
-                    f"{path}: truncated payload at record {index}"
-                )
-            if zlib.crc32(payload) != crc:
-                raise RecordingCorruptError(
-                    f"{path}: crc mismatch at record {index}"
-                )
-            yield _decode_batch(payload)
-            index += 1
+        try:
+            yield from read_frames(fh, _MAGIC, _VERSION, _to_batch)
+        except CorruptFrameError as exc:
+            raise RecordingCorruptError(f"{path}: {exc}") from exc
 
 
 def stream_info(path: str | Path) -> StreamInfo:

@@ -10,6 +10,7 @@ stratified cross-validation, swept across thresholds.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -187,6 +188,17 @@ class ViralityPredictor:
             pred._mu = data["mu"].copy()
             pred._sd = data["sd"].copy()
         return pred
+
+    def to_bytes(self) -> bytes:
+        """The :meth:`save` archive as bytes."""
+        sink = io.BytesIO()
+        self.save(sink)
+        return sink.getvalue()
+
+    @classmethod
+    def from_bytes(cls, blob) -> "ViralityPredictor":
+        """Load a predictor from :meth:`to_bytes` output (any bytes-like)."""
+        return cls.load(io.BytesIO(blob))
 
 
 @dataclass

@@ -24,6 +24,8 @@ adoption events arrive:
 * :mod:`repro.serving.durability` — segmented, checksummed write-ahead
   event journal with fsync policy, rotation, snapshot compaction, and
   bit-identical crash recovery (``repro serve --journal-dir``);
+* :mod:`repro.serving.frames` — the crc-framed record codec journal
+  segments and ``repro record`` recordings share;
 * :mod:`repro.serving.health` — lifecycle state machine
   (starting→recovering→serving→draining), degraded-mode reasons, and
   the structured fault trail behind the ``health`` protocol op;

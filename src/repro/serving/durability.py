@@ -8,14 +8,11 @@ the training tier has had since the checkpoint/resume work (DESIGN.md
 
 Three pieces (DESIGN.md §14):
 
-* :class:`EventJournal` — a segmented, checksummed write-ahead log of
-  admitted adoption-event bursts (the ``ingest_columns`` wire shape —
-  id column, node column, time column — goes down as one record, no
-  re-boxing) and model-swap markers (self-contained: full embedding
-  planes plus the fitted predictor, so recovery never depends on the
-  original artifact files still existing).  Appends are buffered writes
-  with a configurable fsync policy (``always`` / ``interval`` / ``off``)
-  and size-based segment rotation.
+* :class:`EventJournal` — a segmented write-ahead log of admitted
+  adoption-event bursts and self-contained model-swap markers, in the
+  record codec recordings share (:mod:`repro.serving.frames`, DESIGN.md
+  §14.1).  Appends are buffered writes with a configurable fsync policy
+  (``always`` / ``interval`` / ``off``) and size-based segment rotation.
 * **Snapshot compaction** — :meth:`EventJournal.write_snapshot`
   atomically persists the full store state (every tracked cascade's
   observed event log, in LRU order) plus the live model snapshot, then
@@ -44,10 +41,11 @@ Failure semantics
 Journal I/O errors never take scoring down: the owning service catches
 ``OSError`` from append/compact, flips durability to degraded
 (shed-and-warn — scoring continues, appends stop, the condition is
-surfaced through stats and health), and keeps serving.  Interior
-corruption (a bad checksum anywhere but the final record of the final
-segment) raises :class:`JournalCorruptError` — replaying past it could
-silently diverge, which is worse than refusing.
+surfaced through stats and health), and keeps serving.  A damaged
+frame (truncated, bad checksum, or undecodable) in the final segment is
+a torn tail and is truncated; damage in any other segment raises
+:class:`JournalCorruptError` — replaying past it could silently
+diverge, which is worse than refusing.
 
 A test-only :class:`_ChaosPlan` (the serving analog of
 ``parallel/supervision.py``'s ``_FaultPlan``) drives the fault matrix
@@ -63,16 +61,15 @@ from __future__ import annotations
 import io
 import json
 import os
-import struct
 import tempfile
 import time
+import zipfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Callable,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -84,6 +81,14 @@ import numpy as np
 
 from repro.embedding.model import EmbeddingModel
 from repro.prediction.pipeline import ViralityPredictor
+from repro.serving.frames import (
+    CorruptFrameError,
+    decode_events,
+    encode_events,
+    frame,
+    header,
+    read_frames,
+)
 from repro.serving.registry import ModelSnapshot
 
 __all__ = [
@@ -102,15 +107,22 @@ __all__ = [
     "shard_journal_dir",
 ]
 
-#: segment file header: magic + format version + reserved
 _MAGIC = b"RWAL"
 _FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sHH")
-#: record frame: payload length + crc32(payload)
-_FRAME = struct.Struct("<II")
-#: payload record types
-_RT_EVENTS = 1
+#: payload record type of a swap marker (type 1 is the events record of frames.py)
 _RT_SWAP = 2
+
+#: what ``np.load`` and reading an archive's members raise on damaged bytes
+_ARCHIVE_ERRORS = (
+    OSError,
+    ValueError,
+    KeyError,
+    TypeError,
+    EOFError,
+    RuntimeError,
+    zlib.error,
+    zipfile.BadZipFile,
+)
 
 _SEGMENT_GLOB = "wal-*.log"
 _SNAPSHOT_GLOB = "snap-*.npz"
@@ -123,11 +135,11 @@ class JournalError(RuntimeError):
 
 
 class JournalCorruptError(JournalError):
-    """A record *before* the journal tail failed its checksum.
+    """A segment before the final one holds a damaged record.
 
-    A torn/truncated **final** record is expected after a crash and is
-    repaired silently; a bad record anywhere else means the log can no
-    longer be replayed faithfully, so recovery refuses.
+    A damaged tail of the **final** segment is expected after a crash
+    and is repaired; damage anywhere else means the log can no longer be
+    replayed faithfully, so recovery refuses.
     """
 
 
@@ -264,55 +276,18 @@ class SwapRecord:
     predictor: Optional[ViralityPredictor]
 
 
-def _encode_events(
-    cascade_ids: Sequence[str], nodes: np.ndarray, times: np.ndarray
-) -> bytes:
-    cid_blob = json.dumps(list(cascade_ids)).encode("utf-8")
-    node_arr = np.ascontiguousarray(nodes, dtype=np.int64)
-    time_arr = np.ascontiguousarray(times, dtype=np.float64)
-    n = int(node_arr.shape[0])
-    return b"".join(
-        (
-            struct.pack("<BII", _RT_EVENTS, n, len(cid_blob)),
-            cid_blob,
-            node_arr.tobytes(),
-            time_arr.tobytes(),
-        )
-    )
-
-
-def _decode_events(payload: memoryview) -> EventsRecord:
-    rtype, n, blob_len = struct.unpack_from("<BII", payload, 0)
-    assert rtype == _RT_EVENTS
-    off = struct.calcsize("<BII")
-    cids = json.loads(bytes(payload[off : off + blob_len]).decode("utf-8"))
-    off += blob_len
-    nodes = np.frombuffer(payload, dtype=np.int64, count=n, offset=off).copy()
-    off += n * 8
-    times = np.frombuffer(payload, dtype=np.float64, count=n, offset=off).copy()
-    if len(cids) != n:
-        raise JournalCorruptError(
-            f"events record id column length {len(cids)} != {n}"
-        )
-    return EventsRecord(cascade_ids=tuple(cids), nodes=nodes, times=times)
-
-
 def _predictor_arrays(predictor: Optional[ViralityPredictor]) -> Dict[str, np.ndarray]:
     """The fitted predictor as flat arrays (empty dict when absent)."""
     if predictor is None:
         return {}
-    buf = io.BytesIO()
-    predictor.save(buf)
-    return {"predictor_npz": np.frombuffer(buf.getvalue(), dtype=np.uint8)}
+    return {"predictor_npz": np.frombuffer(predictor.to_bytes(), dtype=np.uint8)}
 
 
 def _predictor_from_arrays(
     data: Dict[str, np.ndarray]
 ) -> Optional[ViralityPredictor]:
     blob = data.get("predictor_npz")
-    if blob is None:
-        return None
-    return ViralityPredictor.load(io.BytesIO(np.asarray(blob).tobytes()))
+    return None if blob is None else ViralityPredictor.from_bytes(blob)
 
 
 def _encode_swap(snapshot: ModelSnapshot) -> bytes:
@@ -328,29 +303,28 @@ def _encode_swap(snapshot: ModelSnapshot) -> bytes:
         B=np.ascontiguousarray(snapshot.model.B, dtype=np.float64),
         **_predictor_arrays(snapshot.predictor),
     )
-    return struct.pack("<B", _RT_SWAP) + buf.getvalue()
+    return bytes((_RT_SWAP,)) + buf.getvalue()
 
 
-def _decode_swap(payload: memoryview) -> SwapRecord:
-    with np.load(io.BytesIO(bytes(payload[1:]))) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        model = EmbeddingModel(data["A"].copy(), data["B"].copy())
-        predictor = _predictor_from_arrays(data)
-    return SwapRecord(
-        source=str(meta["source"]),
-        fingerprint=str(meta["fingerprint"]),
-        model=model,
-        predictor=predictor,
-    )
+def _decode_swap(payload: bytes) -> SwapRecord:
+    try:
+        with np.load(io.BytesIO(payload[1:])) as data:
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+            return SwapRecord(
+                source=str(meta["source"]),
+                fingerprint=str(meta["fingerprint"]),
+                model=EmbeddingModel(data["A"].copy(), data["B"].copy()),
+                predictor=_predictor_from_arrays(data),
+            )
+    except _ARCHIVE_ERRORS as exc:
+        raise CorruptFrameError(f"undecodable swap record: {exc}") from exc
 
 
-def _decode_record(payload: memoryview) -> Union[EventsRecord, SwapRecord]:
-    rtype = payload[0]
-    if rtype == _RT_EVENTS:
-        return _decode_events(payload)
-    if rtype == _RT_SWAP:
+def _decode_record(payload: bytes) -> Union[EventsRecord, SwapRecord]:
+    if payload[0] == _RT_SWAP:
         return _decode_swap(payload)
-    raise JournalCorruptError(f"unknown journal record type {rtype}")
+    cids, nodes, times = decode_events(payload)
+    return EventsRecord(cascade_ids=tuple(cids), nodes=nodes, times=times)
 
 
 # --------------------------------------------------------------------- #
@@ -437,12 +411,13 @@ class EventJournal:
 
     def _open_segment(self, seq: int) -> None:
         path = _segment_path(self.directory, seq)
+        head = header(_MAGIC, _FORMAT_VERSION)
         fh = open(path, "xb")
-        fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, 0))
+        fh.write(head)
         fh.flush()
         self._fh = fh
         self.seq = seq
-        self._segment_bytes = _HEADER.size
+        self._segment_bytes = len(head)
 
     def _rotate(self) -> None:
         self._seal_segment()
@@ -479,7 +454,7 @@ class EventJournal:
         fh = self._fh
         if fh is None:
             raise JournalError("journal is sealed; no further appends")
-        frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+        framed = frame(payload)
         chaos = self._chaos
         fire = chaos is not None and self._n_appends == chaos.at_append
         self._n_appends += 1
@@ -490,19 +465,19 @@ class EventJournal:
             if chaos.action == "ioerror":
                 raise OSError("chaos: injected journal I/O error")
             if chaos.action == "torn":
-                fh.write(frame[: chaos.torn_bytes])
+                fh.write(framed[: chaos.torn_bytes])
                 fh.flush()
                 raise InjectedCrash(
-                    f"chaos: torn write ({chaos.torn_bytes} of {len(frame)} bytes)"
+                    f"chaos: torn write ({chaos.torn_bytes} of {len(framed)} bytes)"
                 )
             if chaos.action == "slow":
                 time.sleep(chaos.slow_s)  # repro: noqa[REP103] chaos injection: deliberately stalls the journal write under the service lock to surface contention in tests
-        fh.write(frame)
+        fh.write(framed)
         fh.flush()  # data reaches the OS; fsync policy decides the disk
-        self._segment_bytes += len(frame)
-        self._bytes_since_snapshot += len(frame)
+        self._segment_bytes += len(framed)
+        self._bytes_since_snapshot += len(framed)
         self.stats.records += 1
-        self.stats.bytes_written += len(frame)
+        self.stats.bytes_written += len(framed)
         self._maybe_fsync(fh)
         if fire and chaos is not None and chaos.action == "kill":
             raise InjectedCrash("chaos: killed after journal write")
@@ -543,7 +518,7 @@ class EventJournal:
         times: np.ndarray,
     ) -> None:
         """Journal one validated ingest burst (columnar wire shape)."""
-        self._write_frame(_encode_events(cascade_ids, nodes, times))
+        self._write_frame(encode_events(cascade_ids, nodes, times))
         self.stats.event_records += 1
 
     def append_swap(self, snapshot: ModelSnapshot) -> None:
@@ -700,7 +675,7 @@ class StoreSnapshot:
                 )
         except JournalCorruptError:
             raise
-        except (OSError, ValueError, KeyError, EOFError, zlib.error) as exc:
+        except _ARCHIVE_ERRORS as exc:
             raise JournalCorruptError(
                 f"{path}: unreadable journal snapshot: {exc}"
             ) from exc
@@ -719,59 +694,6 @@ class StoreSnapshot:
 
 
 @dataclass
-class _SegmentScan:
-    """Parsed contents of one segment file."""
-
-    path: Path
-    records: List[Union[EventsRecord, SwapRecord]]
-    torn_at: Optional[int]  # byte offset of a torn tail, None when clean
-
-
-def _scan_segment(path: Path, tolerate_tail: bool) -> _SegmentScan:
-    blob = path.read_bytes()
-    records: List[Union[EventsRecord, SwapRecord]] = []
-
-    def torn(offset: int, why: str) -> _SegmentScan:
-        if not tolerate_tail:
-            raise JournalCorruptError(
-                f"{path}: corrupt record at byte {offset} in a non-final "
-                f"segment ({why}); refusing to replay past it"
-            )
-        return _SegmentScan(path=path, records=records, torn_at=offset)
-
-    if len(blob) < _HEADER.size:
-        return torn(0, "incomplete segment header")
-    magic, version, _ = _HEADER.unpack_from(blob, 0)
-    if magic != _MAGIC:
-        raise JournalCorruptError(f"{path}: bad segment magic {magic!r}")
-    if version != _FORMAT_VERSION:
-        raise JournalCorruptError(
-            f"{path}: unsupported journal format {version}"
-        )
-    view = memoryview(blob)
-    off = _HEADER.size
-    while off < len(blob):
-        if off + _FRAME.size > len(blob):
-            return torn(off, "incomplete frame header")
-        length, crc = _FRAME.unpack_from(blob, off)
-        start = off + _FRAME.size
-        end = start + length
-        if length == 0 or end > len(blob):
-            return torn(off, "truncated payload")
-        payload = view[start:end]
-        if zlib.crc32(payload) != crc:
-            return torn(off, "checksum mismatch")
-        try:
-            records.append(_decode_record(payload))
-        except JournalCorruptError:
-            if not tolerate_tail or end < len(blob):
-                raise
-            return torn(off, "undecodable final record")
-        off = end
-    return _SegmentScan(path=path, records=records, torn_at=None)
-
-
-@dataclass
 class JournalScan:
     """Everything recovery needs, parsed off disk."""
 
@@ -785,9 +707,9 @@ class JournalScan:
 def scan_journal(directory: Union[str, Path]) -> JournalScan:
     """Parse a journal directory: newest loadable snapshot + tail records.
 
-    Only the final record of the final segment may be torn or
-    truncated; damage anywhere else raises
-    :class:`JournalCorruptError`.
+    The final segment may end in a damaged tail (reported in
+    ``torn``); damage in any other segment, or a foreign header in any
+    segment, raises :class:`JournalCorruptError`.
     """
     root = Path(directory)
     snapshot: Optional[StoreSnapshot] = None
@@ -802,10 +724,19 @@ def scan_journal(directory: Union[str, Path]) -> JournalScan:
     records: List[Union[EventsRecord, SwapRecord]] = []
     torn: Optional[Tuple[Path, int]] = None
     for i, path in enumerate(segments):
-        scan = _scan_segment(path, tolerate_tail=(i == len(segments) - 1))
-        records.extend(scan.records)
-        if scan.torn_at is not None:
-            torn = (path, scan.torn_at)
+        with path.open("rb") as fh:
+            try:
+                for record in read_frames(fh, _MAGIC, _FORMAT_VERSION, _decode_record):
+                    records.append(record)
+            except CorruptFrameError as exc:
+                if exc.offset is None:
+                    raise JournalCorruptError(f"{path}: {exc}") from exc
+                if i < len(segments) - 1:
+                    raise JournalCorruptError(
+                        f"{path}: corrupt record at byte {exc.offset} in a non-final "
+                        f"segment ({exc.reason}); refusing to replay past it"
+                    ) from exc
+                torn = (path, exc.offset)  # the final segment's torn tail
     return JournalScan(
         snapshot=snapshot,
         snapshot_seq=snapshot_seq,
@@ -1001,28 +932,3 @@ def recover_service(
     service.begin_serving()
     report.elapsed_s = time.perf_counter() - start
     return service, report
-
-
-def iter_journal_events(
-    directory: Union[str, Path]
-) -> Iterator[Tuple[str, int, float]]:
-    """Flatten a journal's event records to ``(cascade_id, node, t)``.
-
-    Diagnostic helper (devtools, tests) — recovery itself replays the
-    columnar records directly.
-    """
-    scan = scan_journal(directory)
-    if scan.snapshot is not None:
-        snap = scan.snapshot
-        sizes = np.diff(snap.offsets)
-        pos = 0
-        for cid, size in zip(snap.cascade_ids, sizes):
-            for i in range(pos, pos + int(size)):
-                yield cid, int(snap.nodes[i]), float(snap.times[i])
-            pos += int(size)
-    for record in scan.records:
-        if isinstance(record, EventsRecord):
-            for cid, node, t in zip(
-                record.cascade_ids, record.nodes, record.times
-            ):
-                yield cid, int(node), float(t)

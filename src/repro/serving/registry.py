@@ -28,7 +28,6 @@ the checkpoint directory or the archive file itself), or from a live
 from __future__ import annotations
 
 import hashlib
-import io
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -149,11 +148,7 @@ def encode_shared_snapshot(
     ``create_segment`` finalizer backstops a crashed owner.
     """
     model = snapshot.model
-    blob = b""
-    if snapshot.predictor is not None:
-        sink = io.BytesIO()
-        snapshot.predictor.save(sink)
-        blob = sink.getvalue()
+    blob = b"" if snapshot.predictor is None else snapshot.predictor.to_bytes()
     fields = _shared_fields(model.n_nodes, model.n_topics, len(blob))
     offsets, total = layout_fields(fields)
     seg = create_segment(total)
@@ -289,7 +284,7 @@ class ModelRegistry:
         B.setflags(write=False)
         model = EmbeddingModel(A, B)
         predictor = (
-            ViralityPredictor.load(io.BytesIO(blob_view.tobytes()))
+            ViralityPredictor.from_bytes(blob_view)
             if meta.predictor_bytes
             else None
         )

@@ -203,16 +203,6 @@ def _build_shard_service(plan: ShardPlan) -> Tuple[ScoringService, Optional[Reco
     return service, None
 
 
-def _predictor_blob(predictor: Optional[ViralityPredictor]) -> bytes:
-    if predictor is None:
-        return b""
-    import io
-
-    sink = io.BytesIO()
-    predictor.save(sink)
-    return sink.getvalue()
-
-
 def _handle_op(service: ScoringService, msg: Tuple[Any, ...]) -> Tuple[Any, ...]:
     """Dispatch one router request inside the worker."""
     op = msg[0]
@@ -251,7 +241,7 @@ def _handle_op(service: ScoringService, msg: Tuple[Any, ...]) -> Tuple[Any, ...]
             "ok",
             np.ascontiguousarray(snap.model.A),
             np.ascontiguousarray(snap.model.B),
-            _predictor_blob(snap.predictor),
+            snap.predictor.to_bytes() if snap.predictor is not None else b"",
             snap.source,
             snap.fingerprint,
             snap.version,
@@ -592,11 +582,7 @@ class ShardedScoringService:
                 )
             reply = self._roundtrip(ref, ("export_model",))
             _, A, B, blob, source, fingerprint, version = reply
-            predictor = None
-            if blob:
-                import io
-
-                predictor = ViralityPredictor.load(io.BytesIO(blob))
+            predictor = ViralityPredictor.from_bytes(blob) if blob else None
             snapshot = self.registry.publish(
                 EmbeddingModel(A, B), predictor=predictor, source=source
             )

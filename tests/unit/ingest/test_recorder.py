@@ -1,6 +1,7 @@
 """Unit tests for the crc-framed recording format."""
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -164,4 +165,40 @@ class TestCorruption:
         blob = path.read_bytes()
         path.write_bytes(blob + b"\x01\x02")
         with pytest.raises(RecordingCorruptError, match="truncated frame"):
+            list(iter_batches(path))
+
+
+def crc_valid_frame(payload):
+    """A frame whose crc matches *payload*, whatever the payload holds."""
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+
+def events_payload(cid_blob, nodes, times):
+    """An events payload with a hand-built id blob (may be malformed)."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    times = np.asarray(times, dtype=np.float64)
+    head = struct.pack("<BII", 1, len(nodes), len(cid_blob))
+    return head + cid_blob + nodes.tobytes() + times.tobytes()
+
+
+class TestMalformedPayload:
+    """A crc-valid frame can still hold a malformed payload; the reader
+    must type it as corruption rather than leak a decoder exception."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            events_payload(b"\xff\xfe\xfd", [1], [0.5]),  # not UTF-8
+            events_payload(b'["a"', [1], [0.5]),  # not JSON
+            events_payload(b'["a", "b"]', [1, 2], [2.0, 1.0]),  # times unordered
+            events_payload(b'["a"]', [1], [float("nan")]),  # time not finite
+        ],
+        ids=["utf8", "json", "unordered", "nan"],
+    )
+    def test_malformed_frame_raises_corrupt(self, tmp_path, payload):
+        path = tmp_path / "s.evs"
+        write_all(path, make_batches(2))
+        with path.open("ab") as fh:
+            fh.write(crc_valid_frame(payload))
+        with pytest.raises(RecordingCorruptError):
             list(iter_batches(path))

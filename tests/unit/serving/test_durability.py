@@ -10,6 +10,9 @@ deterministic mechanics (framing, rotation, compaction, torn tails,
 fsync policy, the chaos harness itself).
 """
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -27,7 +30,6 @@ from repro.serving.durability import (
     _ChaosPlan,
     _list_segments,
     _list_snapshots,
-    iter_journal_events,
     recover_service,
     scan_journal,
 )
@@ -185,13 +187,6 @@ class TestRoundTrip:
         with pytest.raises(JournalError, match="sealed"):
             journal.append_events(["c"], np.asarray([1]), np.asarray([0.1]))
 
-    def test_iter_journal_events_flattens(self, tmp_path):
-        service, config = journaled_service(tmp_path)
-        events = sample_events(n=10)
-        service.ingest_many(events)
-        service.seal_journal()
-        assert list(iter_journal_events(config.directory)) == events
-
 
 class TestSegments:
     def test_writer_never_reuses_segments(self, tmp_path):
@@ -334,6 +329,15 @@ class TestCompaction:
         recovered, report = recover_service(config, compact=False)
         assert report.snapshot_loaded
         assert_bit_identical(recovered, reference)
+
+    def test_zip_shaped_garbage_snapshot_falls_back(self, tmp_path):
+        service, config = journaled_service(tmp_path)
+        service.ingest_many(sample_events(n=6))
+        assert service.compact()
+        (good,) = _list_snapshots(config.directory)
+        service.seal_journal()
+        (config.directory / "snap-00000099.npz").write_bytes(b"PK\x03\x04" + b"x" * 40)
+        assert scan_journal(config.directory).snapshot_seq == int(good.stem.split("-")[1])
 
     def test_auto_compaction_threshold(self, tmp_path):
         service, config = journaled_service(tmp_path, snapshot_bytes=4096)
@@ -506,3 +510,55 @@ class TestSwapRecords:
         (swap,) = scan.records
         assert isinstance(swap, SwapRecord)
         assert swap.predictor is None
+
+
+def crc_valid_frame(payload):
+    """A frame whose crc matches *payload*, whatever the payload holds."""
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+
+#: crc-valid journal payloads that no decoder accepts
+MALFORMED_PAYLOADS = {
+    "utf8": struct.pack("<BII", 1, 1, 3) + b"\xff\xfe\xfd" + bytes(16),
+    "json": struct.pack("<BII", 1, 1, 4) + b'["a"' + bytes(16),
+    "swap-npz": b"\x02" + b"not an npz archive",
+}
+
+
+class TestMalformedRecords:
+    """A record can pass its crc and still not decode (a writer bug, a
+    foreign file): recovery must treat it like any other damage."""
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_PAYLOADS))
+    def test_malformed_final_record_is_repaired_as_torn_tail(self, tmp_path, kind):
+        service, config = journaled_service(tmp_path)
+        events = sample_events(n=10)
+        service.ingest_many(events)
+        service.seal_journal()
+        seg = _list_segments(config.directory)[-1]
+        intact = seg.stat().st_size
+        with seg.open("ab") as fh:
+            fh.write(crc_valid_frame(MALFORMED_PAYLOADS[kind]))
+
+        reference = make_service()
+        reference.registry.publish(
+            make_model(0), predictor=make_predictor(), source="seed"
+        )
+        reference.ingest_many(events)
+        recovered, report = recover_service(config, compact=False)
+        assert report.torn_tail_repaired
+        assert seg.stat().st_size == intact
+        assert_bit_identical(recovered, reference)
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_PAYLOADS))
+    def test_malformed_interior_record_refuses_replay(self, tmp_path, kind):
+        service, config = journaled_service(tmp_path, rotate_bytes=4096)
+        for cid, node, t in sample_events(n=60):
+            service.ingest(cid, node, t)
+        service.seal_journal()
+        segments = _list_segments(config.directory)
+        assert len(segments) >= 2
+        with segments[0].open("ab") as fh:
+            fh.write(crc_valid_frame(MALFORMED_PAYLOADS[kind]))
+        with pytest.raises(JournalCorruptError, match="non-final"):
+            scan_journal(config.directory)

@@ -69,6 +69,15 @@ class TestViralityPredictor:
         labels = pred.predict(ds.X)
         assert set(np.unique(labels)) <= {-1, 1}
 
+    def test_bytes_roundtrip(self, model, corpus):
+        ds = build_dataset(model, corpus, window=1.0)
+        pred = ViralityPredictor(threshold=int(np.median(ds.final_sizes)), seed=0).fit(ds)
+        blob = pred.to_bytes()
+        for data in (blob, memoryview(blob), np.frombuffer(blob, dtype=np.uint8)):
+            back = ViralityPredictor.from_bytes(data)
+            assert back.threshold == pred.threshold
+            assert np.array_equal(back.decision_function(ds.X), pred.decision_function(ds.X))
+
     def test_single_class_threshold_rejected(self, model, corpus):
         ds = build_dataset(model, corpus, window=1.0)
         with pytest.raises(ValueError, match="single class"):
