@@ -363,10 +363,12 @@ class ReplayEngine:
     """Replays an :class:`EventSource` against a scoring target.
 
     The target needs ``ingest_columns(cascade_ids, nodes, times)`` and —
-    when scoring is enabled — ``score_columns`` or ``score_many``;
-    targets flagging ``wants_executor_offload`` (the sharded router, the
-    TCP client) are called through ``run_in_executor`` so their blocking
-    I/O never stalls the pacing loop.
+    when scoring is enabled — ``score_columns(cascade_ids)``, which
+    every tier implements (in process, sharded, and over TCP, where a
+    burst is one request).  Targets flagging
+    ``wants_executor_offload`` (the sharded router, the TCP client) are
+    called through ``run_in_executor`` so their blocking I/O never
+    stalls the pacing loop.
     """
 
     def __init__(
@@ -522,12 +524,8 @@ class ReplayEngine:
         cids = list(dict.fromkeys(chunk.cascade_ids))
         if not cids:
             return
-        score_columns = getattr(self.target, "score_columns", None)
         t0 = self._clock()
-        if score_columns is not None:
-            await self._call(score_columns, cids)
-        else:
-            await self._call(self.target.score_many, cids)
+        await self._call(self.target.score_columns, cids)
         meter.record_score(len(cids), self._clock() - t0)
 
     def _call(self, fn: Callable[..., Any], *args: Any) -> Awaitable[Any]:

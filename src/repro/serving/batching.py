@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -175,6 +175,53 @@ class ScoreColumns:
 
     def __len__(self) -> int:
         return int(self.ok.shape[0])
+
+    def to_wire(self) -> Dict[str, Any]:
+        """Strict-JSON view: the server's ``score_columns`` reply body.
+
+        Columns become lists; a ``NaN`` score (an unknown cascade) goes
+        out as ``null``.  ``features`` travels flat with its width, so a
+        zero-row matrix keeps its shape.  Floats survive the round trip
+        bit-exactly: ``json`` writes the shortest ``repr`` and reads it
+        back with ``float``.
+        """
+        scores = None
+        if self.scores is not None:
+            scores = [None if s != s else s for s in self.scores.tolist()]
+        features = width = None
+        if self.features is not None:
+            features = self.features.ravel().tolist()
+            width = int(self.features.shape[1])
+        return {
+            "ok": self.ok.tolist(),
+            "scores": scores,
+            "labels": None if self.labels is None else self.labels.tolist(),
+            "n_early": self.n_early.tolist(),
+            "model_version": self.model_version,
+            "compute_s": self.compute_s,
+            "features": features,
+            "n_features": width,
+        }
+
+    @classmethod
+    def from_wire(cls, wire: Dict[str, Any]) -> "ScoreColumns":
+        """Inverse of :meth:`to_wire` (``null`` scores read back as NaN)."""
+        ok = np.array(wire["ok"], dtype=bool)
+        features = None
+        if wire["features"] is not None:
+            features = np.array(wire["features"], dtype=np.float64).reshape(
+                len(ok), int(wire["n_features"])
+            )
+        scores, labels = wire["scores"], wire["labels"]
+        return cls(
+            ok=ok,
+            scores=None if scores is None else np.array(scores, dtype=np.float64),
+            labels=None if labels is None else np.array(labels, dtype=np.int64),
+            n_early=np.array(wire["n_early"], dtype=np.int64),
+            model_version=int(wire["model_version"]),
+            compute_s=float(wire["compute_s"]),
+            features=features,
+        )
 
 
 class PendingQueue:

@@ -22,7 +22,7 @@ from typing import IO, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serving.batching import QueueFullError
+from repro.serving.batching import QueueFullError, ScoreColumns
 
 __all__ = [
     "RemoteError",
@@ -280,6 +280,24 @@ class TCPScoringClient:
         if not requests:
             return []
         return [self._check(r) for r in self._roundtrip(requests)]
+
+    def score_columns(
+        self, cascade_ids: Sequence[str], include_features: bool = False
+    ) -> ScoreColumns:
+        """Score a batch in one ``score_columns`` request.
+
+        One line out, one line back, one service call on the server —
+        no micro-batcher in between.  Every column is bit-identical to
+        the server's in-process :meth:`ScoringService.score_columns`.
+        """
+        response = self._request(
+            {
+                "op": "score_columns",
+                "cascades": [str(c) for c in cascade_ids],
+                "features": bool(include_features),
+            }
+        )
+        return ScoreColumns.from_wire(response["columns"])
 
     def flush(self) -> int:
         """Force a micro-batch flush; returns how many requests flushed."""

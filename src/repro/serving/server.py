@@ -12,6 +12,12 @@ One request per line, one JSON object per response.  Operations:
     Queue a score request; the response arrives once the micro-batcher
     flushes (batch full or ``max_delay`` elapsed).  Add
     ``"features": true`` to embed the feature vector.
+``{"op": "score_columns", "cascades": ["c1", "c2", ...], "features": false}``
+    Score a whole batch now, in one service call, bypassing the
+    micro-batcher.  Responds ``{"ok": true, "columns": {...}}`` with
+    one list per :class:`~repro.serving.batching.ScoreColumns` column
+    (see :meth:`ScoreColumns.to_wire`; an unknown cascade's score is
+    ``null``).  This is how a replay scores a burst in one round trip.
 ``{"op": "flush"}``
     Force an immediate flush (mostly for tests and drains).
 ``{"op": "swap", "path": "model.npz"}``
@@ -34,7 +40,10 @@ The server never blocks the event loop: scoring requests resolve via
 ``on_done`` callbacks marshalled onto the loop, a background flusher
 task enforces ``max_delay``, and the stdio front end reads stdin
 through the default executor.  (The REP008 lint rule polices exactly
-this property.)
+this property.)  The flusher is event-driven: a submit wakes it, a
+timer runs only while requests wait below a full batch, and a
+``_HEARTBEAT_S`` heartbeat ticks the journal — an idle server does not
+spin.
 
 Robustness (DESIGN.md §14):
 
@@ -60,6 +69,7 @@ Robustness (DESIGN.md §14):
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 import json
 import signal
@@ -69,7 +79,7 @@ from typing import IO, Any, Awaitable, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.prediction.features import PAPER_FEATURES
-from repro.serving.batching import BatchPolicy, ScoreResult
+from repro.serving.batching import BatchPolicy, ScoreColumns, ScoreResult
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import ScoringService
 from repro.serving.tracker import StoreConfig
@@ -83,6 +93,9 @@ __all__ = [
 
 #: sweep TTL-stale cascades this often (seconds) while a server runs
 _SWEEP_INTERVAL = 1.0
+#: the flusher ticks the journal this often (seconds) — the cadence at
+#: which the shard workers self-tick (``sharding._POLL_S``)
+_HEARTBEAT_S = 0.05
 #: socket read granularity for the bounded line assembler
 _READ_CHUNK = 65536
 
@@ -259,6 +272,7 @@ class ScoringServer:
         self._flusher: Optional[asyncio.Task] = None
         self._sweeper: Optional[asyncio.Task] = None
         self._wake: Optional[asyncio.Event] = None
+        self._kicked = False  # a submit since the flusher's last pass
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stopping = False
         self.task_restarts: Dict[str, int] = {}
@@ -293,21 +307,13 @@ class ScoringServer:
         await self._call_service(self.service.begin_serving)
 
     async def stop(self) -> None:
-        """Hard stop: close the listener, kill tasks, abort the queue."""
+        """Hard stop: close the listener, end tasks, abort the queue."""
         self._stopping = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for task in (self._flusher, self._sweeper):
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-        self._flusher = None
-        self._sweeper = None
+        await self._stop_background()
         # release any waiter still parked on the batcher
         await self._call_service(self.service.abort_pending)
         # a sharded service also owns worker processes and a shared
@@ -325,15 +331,7 @@ class ScoringServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for task in (self._flusher, self._sweeper):
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-        self._flusher = None
-        self._sweeper = None
+        await self._stop_background()
         await self._call_service(self.service.drain)
 
     async def serve_forever(self) -> None:
@@ -366,6 +364,7 @@ class ScoringServer:
     def _start_background(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
+        self._kicked = False
         self._stopping = False
         self._flusher = asyncio.create_task(
             self._supervised("flusher", self._flush_loop)
@@ -374,6 +373,26 @@ class ScoringServer:
             self._sweeper = asyncio.create_task(
                 self._supervised("sweeper", self._sweep_loop)
             )
+
+    async def _stop_background(self) -> None:
+        """End the flusher and the sweeper and wait for both.
+
+        The flusher is told, not cancelled: it sees ``_stopping`` on its
+        next wake and returns, so its exit cannot be lost to a
+        cancellation that lands as a wait completes.  The sweeper only
+        sleeps or sweeps, so a cancel ends it.
+        """
+        self._stopping = True
+        if self._wake is not None:
+            self._wake.set()
+        if self._sweeper is not None:
+            self._sweeper.cancel()
+        for task in (self._flusher, self._sweeper):
+            if task is not None:
+                with contextlib.suppress(asyncio.CancelledError):
+                    await task
+        self._flusher = None
+        self._sweeper = None
 
     # ------------------------------------------------------------------ #
     # Background tasks
@@ -420,25 +439,60 @@ class ScoringServer:
             )
             await asyncio.sleep(self.restart_backoff * (2 ** (attempts - 1)))
 
-    async def _flush_loop(self) -> None:
-        """Enforce ``max_delay``: flush whenever requests come due.
+    def _flush_due(self) -> int:
+        """Flush every due batch; return how many requests still wait.
 
-        Wakes early (via ``_wake``) when a submit fills the batch, so a
-        full batch never waits out the delay timer.  Doubles as the
-        journal's heartbeat: each pass gives ``fsync="interval"`` a
-        chance to sync a quiet stream.
+        One function, so an offloaded service pays one executor hop per
+        flusher pass rather than one per ``due``/``flush`` call.
         """
-        assert self._wake is not None
-        delay = max(self.service.policy.max_delay, 1e-4)
-        while True:
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout=delay)
-            except asyncio.TimeoutError:
-                pass
-            self._wake.clear()
-            while await self._call_service(self.service.due):
-                await self._call_service(self.service.flush)
-            await self._call_service(self.service.journal_tick)
+        while self.service.due():
+            self.service.flush()
+        return self.service.pending()
+
+    async def _flush_loop(self) -> None:
+        """Flush requests as they come due; tick the journal on a heartbeat.
+
+        Event-driven, never polling.  ``_wake`` fires on a submit (which
+        also sets ``_kicked``), on the loop's one timer, or on stop.  A pass
+        after a submit flushes every due batch; if requests still wait
+        below a full batch, the timer is armed ``max_delay`` ahead, so
+        a partial batch flushes within ``max_delay`` of the pass that
+        first saw it (under ``2 * max_delay`` of its submit).  The same
+        timer drives the ``_HEARTBEAT_S`` journal heartbeat, which gives
+        ``fsync="interval"`` its chance to sync a quiet stream.  An idle
+        server thus wakes only for the heartbeat.
+
+        There is no ``asyncio.wait_for`` here: on Python <= 3.11 it can
+        drop a cancellation that lands as the inner wait completes
+        (bpo-42130), which left a drain awaiting the flusher forever.
+        The loop ends on ``_stopping`` instead (:meth:`_stop_background`).
+        """
+        assert self._loop is not None and self._wake is not None
+        loop, wake = self._loop, self._wake
+        max_delay = self.service.policy.max_delay
+        next_tick = loop.time()
+        deadline: Optional[float] = None
+        while not self._stopping:
+            now = loop.time()
+            if now >= next_tick:
+                await self._call_service(self.service.journal_tick)
+                next_tick = now + _HEARTBEAT_S
+            if self._kicked or (deadline is not None and now >= deadline):
+                self._kicked = False
+                waiting = await self._call_service(self._flush_due)
+                if not waiting:
+                    deadline = None
+                elif deadline is None or now >= deadline:
+                    deadline = now + max_delay
+                continue
+            if not wake.is_set():
+                at = next_tick if deadline is None else min(next_tick, deadline)
+                timer = loop.call_at(at, wake.set)
+                try:
+                    await wake.wait()
+                finally:
+                    timer.cancel()
+            wake.clear()
 
     async def _sweep_loop(self) -> None:
         while True:
@@ -545,6 +599,11 @@ class ScoringServer:
                 response = {"ok": True, "applied": count, "count": len(burst)}
             elif op == "score":
                 response = await self._score(message)
+            elif op == "score_columns":
+                response = {
+                    "ok": True,
+                    "columns": await self._score_columns(message),
+                }
             elif op == "flush":
                 results = await self._call_service(self.service.flush)
                 response = {"ok": True, "flushed": len(results)}
@@ -597,10 +656,22 @@ class ScoringServer:
             include_features=bool(message.get("features", False)),
             on_done=on_done,
         )
-        if await self._call_service(self.service.pending) >= self.service.policy.max_batch:
-            self._wake.set()  # full batch: flush now, don't wait out the timer
+        self._kicked = True  # the flusher's next pass flushes what is due
+        self._wake.set()
         result = await future
         return result_to_dict(result)
+
+    async def _score_columns(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """Score a batch in one service call; returns the wire columns."""
+        cids = message["cascades"]
+        if not isinstance(cids, list) or not all(isinstance(c, str) for c in cids):
+            raise TypeError("cascades must be a list of strings")
+        cols: ScoreColumns = await self._call_service(
+            self.service.score_columns,
+            cids,
+            include_features=bool(message.get("features", False)),
+        )
+        return cols.to_wire()
 
 
 async def serve_stdio(

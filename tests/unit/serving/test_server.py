@@ -405,6 +405,55 @@ class TestRobustness:
         assert service.journal.closed
         assert done and done[0].status == "ok"
 
+    def test_drain_finishes_when_it_races_a_flusher_wake(self):
+        """SIGTERM landing just as the flusher wakes must still drain.
+
+        A flusher parked in ``asyncio.wait_for`` dropped a cancel that
+        arrived as its wait completed (bpo-42130, Python <= 3.11), and
+        the drain then awaited it forever.
+        """
+
+        async def scenario():
+            service = make_service(max_batch=4, max_delay=5.0)
+            server = ScoringServer(service)
+            await server.start()
+            await asyncio.sleep(0.05)
+            server._wake.set()
+            drain = asyncio.ensure_future(server.drain())
+            done, _ = await asyncio.wait({drain}, timeout=5.0)
+            return service, drain in done
+
+        service, drained = asyncio.run(scenario())
+        assert drained, "drain did not finish within 5 s"
+        assert service.health.phase == "stopped"
+
+    def test_idle_server_does_not_spin(self):
+        """Idle, the flusher wakes only for its journal heartbeat."""
+
+        async def scenario():
+            service = make_service(max_delay=0.0)
+            calls = {}
+            for name in ("due", "journal_tick", "flush"):
+
+                def counted(*args, _fn=getattr(service, name), _name=name, **kw):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return _fn(*args, **kw)
+
+                setattr(service, name, counted)
+            server = ScoringServer(service)
+            await server.start()
+            try:
+                await asyncio.sleep(0.5)
+                return dict(calls)
+            finally:
+                await server.stop()
+
+        calls = asyncio.run(scenario())
+        # a 50 ms heartbeat makes ~10 ticks in 0.5 s; a polling flusher
+        # at max_delay=0 made thousands of due/journal_tick calls
+        assert sum(calls.values()) <= 20, calls
+        assert calls.get("due", 0) == 0 and calls.get("flush", 0) == 0
+
     def test_stop_aborts_pending_requests(self):
         async def scenario():
             service = make_service(max_batch=64, max_delay=5.0)

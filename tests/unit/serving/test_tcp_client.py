@@ -9,6 +9,8 @@ handling is transport-agnostic.
 """
 
 import asyncio
+import io
+import json
 import threading
 
 import numpy as np
@@ -16,15 +18,16 @@ import pytest
 
 from repro.embedding.model import EmbeddingModel
 from repro.prediction.pipeline import PredictionDataset, ViralityPredictor
-from repro.serving.batching import BatchPolicy, QueueFullError
+from repro.serving.batching import BatchPolicy, QueueFullError, ScoreColumns
 from repro.serving.client import (
     RemoteError,
     ServerUnreachableError,
     TCPScoringClient,
 )
 from repro.serving.registry import ModelRegistry
-from repro.serving.server import ScoringServer
+from repro.serving.server import ScoringServer, serve_stdio
 from repro.serving.service import ScoringService
+from repro.serving.sharding import ShardedScoringService
 
 N = 30
 
@@ -42,9 +45,10 @@ def make_predictor(seed=0):
     return ViralityPredictor(threshold=10, seed=seed).fit(ds)
 
 
-def make_service(seed=0, max_delay=0.002):
+def make_service(seed=0, max_delay=0.002, predictor=True):
     reg = ModelRegistry()
-    reg.publish(make_model(seed), predictor=make_predictor(seed))
+    fitted = make_predictor(seed) if predictor else None
+    reg.publish(make_model(seed), predictor=fitted)
     service = ScoringService(
         reg, policy=BatchPolicy(max_batch=8, max_delay=max_delay)
     )
@@ -151,6 +155,129 @@ class TestRoundTrips:
                 client.ingest(cid, i % N, 0.01 * i)
             responses = client.score_many(cids)
         assert [r["cascade"] for r in responses] == cids
+
+
+EVENTS = [("a", 1, 0.0), ("b", 2, 0.1), ("a", 3, 0.2), ("b", 4, 0.3), ("c", 5, 0.4)]
+#: known cascades, an unknown one, and a repeat
+PROBE = ["a", "ghost", "c", "b", "a"]
+
+
+def assert_columns_identical(got, want):
+    """Every column bit-equal (NaN scores at unknown rows included)."""
+    assert isinstance(got, ScoreColumns)
+    assert np.array_equal(got.ok, want.ok)
+    assert np.array_equal(got.n_early, want.n_early)
+    assert got.model_version == want.model_version
+    for field in ("scores", "labels", "features"):
+        g, w = getattr(got, field), getattr(want, field)
+        if w is None:
+            assert g is None, field
+        else:
+            assert g is not None and g.shape == w.shape, field
+            assert np.array_equal(g, w, equal_nan=True), field
+
+
+def in_process(events, probe, features, **kw):
+    reference = make_service(**kw)
+    reference.ingest_many(events)
+    return reference.score_columns(probe, include_features=features)
+
+
+class TestScoreColumnsWire:
+    """``score_columns`` over the wire equals in-process ``score_columns``."""
+
+    @pytest.mark.parametrize("features", [False, True])
+    def test_known_and_unknown_cascades(self, harness, features):
+        with TCPScoringClient("127.0.0.1", harness.port) as client:
+            client.ingest_many(EVENTS)
+            got = client.score_columns(PROBE, include_features=features)
+        want = in_process(EVENTS, PROBE, features)
+        assert want.scores is not None and np.isnan(want.scores[1])
+        assert_columns_identical(got, want)
+
+    @pytest.mark.parametrize("features", [False, True])
+    def test_snapshot_without_predictor(self, features):
+        h = ServerHarness(make_service(predictor=False)).start()
+        try:
+            with TCPScoringClient("127.0.0.1", h.port) as client:
+                client.ingest_many(EVENTS)
+                got = client.score_columns(PROBE, include_features=features)
+        finally:
+            h.stop()
+        want = in_process(EVENTS, PROBE, features, predictor=False)
+        assert want.scores is None and want.labels is None
+        assert_columns_identical(got, want)
+
+    @pytest.mark.parametrize("features", [False, True])
+    def test_empty_request(self, harness, features):
+        with TCPScoringClient("127.0.0.1", harness.port) as client:
+            got = client.score_columns([], include_features=features)
+        want = in_process([], [], features)
+        assert len(got) == 0
+        assert_columns_identical(got, want)
+
+    def test_two_shard_server(self):
+        sharded = ShardedScoringService(
+            n_shards=2, policy=BatchPolicy(max_batch=8, max_delay=0.002)
+        )
+        try:
+            sharded.publish(make_model(0), predictor=make_predictor(0))
+            h = ServerHarness(sharded).start()
+            try:
+                with TCPScoringClient("127.0.0.1", h.port) as client:
+                    client.ingest_many(EVENTS)
+                    got = client.score_columns(PROBE, include_features=True)
+                want = sharded.score_columns(PROBE, include_features=True)
+            finally:
+                h.stop()
+        finally:
+            sharded.close()
+        assert_columns_identical(got, want)
+        # and the sharded tier agrees with one in-process service
+        assert_columns_identical(got, in_process(EVENTS, PROBE, True))
+
+    def test_stdio_front_end(self):
+        service = make_service()
+        lines = [{"op": "events", "events": [list(e) for e in EVENTS]}]
+        lines += [
+            {"op": "score_columns", "cascades": PROBE, "features": True, "id": 1}
+        ]
+        fin = io.StringIO("".join(json.dumps(o) + "\n" for o in lines))
+        fout = io.StringIO()
+        asyncio.run(serve_stdio(service, stdin=fin, stdout=fout))
+        replies = [json.loads(x) for x in fout.getvalue().splitlines()]
+        reply = next(r for r in replies if r.get("id") == 1)
+        got = ScoreColumns.from_wire(reply["columns"])
+        assert_columns_identical(got, in_process(EVENTS, PROBE, True))
+
+    def test_wire_is_strict_json(self, harness):
+        with TCPScoringClient("127.0.0.1", harness.port) as client:
+            client.ingest_many(EVENTS)
+            response = client._request(
+                {"op": "score_columns", "cascades": PROBE, "features": True}
+            )
+        # an unknown cascade's NaN score travels as null, never as NaN
+        assert response["columns"]["scores"][1] is None
+        json.dumps(response, allow_nan=False)
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"op": "score_columns", "cascades": "abc"},
+            {"op": "score_columns", "cascades": ["a", 3]},
+            {"op": "score_columns"},
+        ],
+        ids=["non-list", "non-string-id", "missing-key"],
+    )
+    def test_malformed_request_keeps_connection(self, harness, request_):
+        with TCPScoringClient("127.0.0.1", harness.port) as client:
+            client.ingest_many(EVENTS)
+            with pytest.raises(RemoteError):
+                client._request(dict(request_))
+            # the same connection still answers
+            assert client.ping()
+            assert client.score_columns(["a"]).ok.tolist() == [True]
+            assert client.reconnects == 0
 
 
 class TestFailureModes:
