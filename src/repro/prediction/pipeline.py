@@ -22,7 +22,7 @@ from repro.prediction.crossval import cross_val_f1
 from repro.prediction.features import PAPER_FEATURES, FeatureExtractor
 from repro.prediction.svm import LinearSVM
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_fraction
+from repro.utils.validation import check_finite_rows, check_fraction
 
 __all__ = [
     "PredictionDataset",
@@ -113,6 +113,7 @@ class ViralityPredictor:
                 "choose a threshold inside the observed size range"
             )
         X = np.asarray(dataset.X, dtype=np.float64)
+        check_finite_rows(X, "features")
         self._mu = X.mean(axis=0)
         self._sd = X.std(axis=0)
         self._sd[self._sd == 0] = 1.0
@@ -147,6 +148,7 @@ class ViralityPredictor:
             threshold=self.threshold,
             lam=self._svm.lam,
             n_epochs=self._svm.n_epochs,
+            seed=self._svm.seed,
         )
         if self._svm.w is not None:
             clone._svm.w = self._svm.w.copy()
@@ -241,8 +243,10 @@ def threshold_sweep(
 ) -> ThresholdSweepResult:
     """Cross-validated F1 at each size threshold (regenerates Fig. 9/12).
 
-    Thresholds that leave fewer than *k_folds* samples in either class are
-    scored 0 (the cross-validator cannot stratify them meaningfully).
+    Thresholds that leave fewer than 2 samples in either class are scored
+    0; the others use ``min(k_folds, n_pos, n_neg)`` folds.  Every
+    threshold's folds are fitted together in one lockstep pass (see
+    :func:`~repro.prediction.svm.fit_many`).
     """
     from repro.cascades.stats import size_histogram
 
@@ -253,19 +257,23 @@ def threshold_sweep(
     )
     f1s = np.zeros(len(thresholds))
     pos_frac = np.zeros(len(thresholds))
+    scored, labellings, folds = [], [], []
     for i, thr in enumerate(thresholds):
         y = dataset.labels(int(thr))
         n_pos = int(np.sum(y == 1))
         n_neg = int(np.sum(y == -1))
         pos_frac[i] = n_pos / max(len(y), 1)
-        if min(n_pos, n_neg) < 2:
-            f1s[i] = 0.0
-            continue
-        f1s[i] = cross_val_f1(
+        if min(n_pos, n_neg) >= 2:
+            scored.append(i)
+            labellings.append(y)
+            folds.append(min(k_folds, n_pos, n_neg))
+    if scored:
+        # one call for every threshold: its fits run in one lockstep pass
+        f1s[scored] = cross_val_f1(
             lambda: LinearSVM(lam=lam, n_epochs=n_epochs, seed=rng),
             dataset.X,
-            y,
-            k=min(k_folds, min(n_pos, n_neg)),
+            np.stack(labellings),
+            k=folds,
             seed=rng,
         )
     edges, counts = size_histogram(cascades, bin_width=hist_bin_width)

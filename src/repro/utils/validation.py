@@ -18,6 +18,7 @@ __all__ = [
     "check_fraction",
     "check_array_shape",
     "check_sorted_times",
+    "check_finite_rows",
 ]
 
 
@@ -80,3 +81,13 @@ def check_sorted_times(times: Sequence[float], name: str = "times") -> np.ndarra
     if t.size and not np.all(np.isfinite(t)):
         raise ValueError(f"{name} must be finite")
     return t
+
+
+def check_finite_rows(X: np.ndarray, name: str = "X") -> None:
+    """Ensure every entry of the 2-D array *X* is finite.
+
+    The error names the first row holding a NaN or an infinity.
+    """
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{name} row {int(np.argmax(bad))} is not finite")

@@ -9,7 +9,7 @@ from repro.embedding.model import EmbeddingModel
 from repro.prediction.features import EXTENDED_FEATURES, extract_features
 from repro.prediction.pointprocess import SelfExcitingSizePredictor
 from repro.prediction.regression import RidgeRegression, r2_score
-from repro.prediction.svm import LinearSVM
+from repro.prediction.svm import LinearSVM, _pegasos_lockstep, fit_many
 
 N = 8
 K = 3
@@ -128,3 +128,52 @@ class TestRegressionProperties:
         svm = LinearSVM(n_epochs=3, seed=0).fit(X, y)
         pred = svm.predict(X)
         assert set(np.unique(pred)) <= {-1, 1}
+
+
+@st.composite
+def lockstep_fits(draw):
+    """1–5 independent fits of one width but unequal rows, epochs and
+    class weights — the shape of a cross-validated threshold sweep."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    fit_intercept = draw(st.booleans())
+    lam = draw(st.sampled_from([1e-3, 1e-2, 0.5]))
+    fits = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        n = draw(st.integers(min_value=1, max_value=25))
+        rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+        X = rng.normal(scale=draw(st.sampled_from([0.1, 1.0, 30.0])), size=(n, d))
+        X[rng.random((n, d)) < 0.1] = 0.0  # exact zeros: signed-zero steps
+        y = rng.choice([-1.0, 1.0], size=n)
+        weight = draw(st.one_of(
+            st.none(),
+            st.just("balanced"),
+            st.fixed_dictionaries({-1: st.floats(0.0, 5.0), 1: st.floats(0.0, 5.0)}),
+        ))
+        svm = LinearSVM(lam=lam, n_epochs=draw(st.integers(1, 4)), class_weight=weight,
+                        fit_intercept=fit_intercept, seed=draw(st.integers(0, 2**31 - 1)))
+        fits.append((svm, X, y))
+    return fits
+
+
+def _twin(svm):
+    return LinearSVM(lam=svm.lam, n_epochs=svm.n_epochs, class_weight=svm.class_weight,
+                     fit_intercept=svm.fit_intercept, seed=svm.seed)
+
+
+class TestLockstepProperties:
+    @given(lockstep_fits())
+    @settings(max_examples=80, deadline=None)
+    def test_lockstep_rows_equal_single_fits(self, fits):
+        models = [svm for svm, _, _ in fits]
+        Xs = [X for _, X, _ in fits]
+        ys = [y for _, _, y in fits]
+        # the seed is an int, so each twin re-draws the very same order
+        orders = [svm.epoch_order(y.size) for svm, _, y in fits]
+        fit_many(models, Xs, ys, orders)
+        problems = [svm._problem(X, y) for svm, X, y in fits]
+        batch = _pegasos_lockstep(problems, orders, models[0].lam)  # F = 1 too
+        for f, (svm, X, y) in enumerate(fits):
+            alone = _twin(svm).fit(X, y)
+            assert np.array_equal(svm.w, alone.w) and svm.b == alone.b
+            row = np.append(alone.w, alone.b) if svm.fit_intercept else alone.w
+            assert np.array_equal(batch[f], row)

@@ -31,8 +31,9 @@ class TestKFold:
             assert np.array_equal(ta, tb) and np.array_equal(sa, sb)
 
     def test_k_validation(self):
-        with pytest.raises(ValueError):
-            kfold_indices(10, k=1)
+        for n, k in [(10, 1), (1, 2), (0, 2), (5, 6)]:
+            with pytest.raises(ValueError):
+                kfold_indices(n, k=k)
 
     def test_stratify_length_validation(self):
         with pytest.raises(ValueError):
@@ -78,3 +79,24 @@ class TestCrossValF1:
             lambda: LinearSVM(seed=0), X, y, k=4, seed=4, standardize=False
         )
         assert with_std > without
+
+    def test_many_labellings_match_one_at_a_time(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(60, 3))
+        Y = np.stack([np.where(X[:, j] > 0.2, 1, -1) for j in range(3)])
+        many = cross_val_f1(lambda: LinearSVM(seed=0), X, Y, k=[3, 4, 5], seed=6)
+        ones = [
+            cross_val_f1(lambda: LinearSVM(seed=0), X, y, k=k, seed=6)
+            for y, k in zip(Y, [3, 4, 5])
+        ]
+        # fold draws come from one generator in the T-row call, so only
+        # the first labelling sees the same folds as its standalone call
+        assert many.shape == (3,)
+        assert many[0] == ones[0]
+
+    def test_non_finite_row_named(self):
+        X = np.ones((20, 2))
+        X[11, 0] = np.nan
+        y = np.where(np.arange(20) % 2 == 0, 1, -1)
+        with pytest.raises(ValueError, match="row 11"):
+            cross_val_f1(lambda: LinearSVM(seed=0), X, y, k=2, seed=0)

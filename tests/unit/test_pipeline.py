@@ -5,11 +5,14 @@ import pytest
 
 from repro.cascades.types import Cascade, CascadeSet
 from repro.embedding.model import EmbeddingModel
+from repro.prediction.crossval import kfold_indices
+from repro.prediction.metrics import f1_score
 from repro.prediction.pipeline import (
     ViralityPredictor,
     build_dataset,
     threshold_sweep,
 )
+from repro.prediction.svm import LinearSVM
 
 
 @pytest.fixture
@@ -92,6 +95,20 @@ class TestViralityPredictor:
         with pytest.raises(ValueError):
             ViralityPredictor(threshold=0)
 
+    def test_copy_keeps_seed(self, model, corpus):
+        ds = build_dataset(model, corpus, window=1.0)
+        pred = ViralityPredictor(threshold=int(np.median(ds.final_sizes)), seed=5)
+        clone = pred.copy()
+        assert clone._svm.seed == 5
+        assert np.array_equal(clone.fit(ds).decision_function(ds.X),
+                              pred.fit(ds).decision_function(ds.X))
+
+    def test_non_finite_feature_row_named(self, model, corpus):
+        ds = build_dataset(model, corpus, window=1.0)
+        ds.X[3, 0] = np.inf
+        with pytest.raises(ValueError, match="row 3"):
+            ViralityPredictor(threshold=int(np.median(ds.final_sizes)), seed=0).fit(ds)
+
 
 class TestThresholdSweep:
     def test_structure(self, model, corpus):
@@ -102,6 +119,32 @@ class TestThresholdSweep:
         assert sweep.f1.shape == (3,)
         assert np.all((sweep.f1 >= 0) & (sweep.f1 <= 1))
         assert np.all(np.diff(sweep.positive_fraction) <= 0)
+
+    def test_f1_equals_sequential_oracle(self, model, corpus):
+        """The lockstep sweep draws folds and sample orders from one
+        generator in the order a threshold-by-threshold, fold-by-fold
+        loop of single fits would, and lands on its exact F1."""
+        thresholds = [3, 5, 8, 10_000, 11]
+        sweep = threshold_sweep(model, corpus, thresholds=thresholds, window=1.0,
+                                k_folds=4, n_epochs=5, seed=7)
+        rng = np.random.default_rng(7)
+        X = build_dataset(model, corpus, window=1.0).X
+        sizes = np.array([c.size for c in corpus])
+        oracle = np.zeros(len(thresholds))
+        for i, thr in enumerate(thresholds):
+            y = np.where(sizes >= thr, 1, -1)
+            n_pos, n_neg = int(np.sum(y == 1)), int(np.sum(y == -1))
+            if min(n_pos, n_neg) < 2:
+                continue
+            scores = []
+            for train, test in kfold_indices(len(y), min(4, n_pos, n_neg), y, rng):
+                mu, sd = X[train].mean(axis=0), X[train].std(axis=0)
+                sd[sd == 0] = 1.0
+                svm = LinearSVM(n_epochs=5, seed=rng).fit((X[train] - mu) / sd, y[train])
+                scores.append(f1_score(y[test], svm.predict((X[test] - mu) / sd)))
+            oracle[i] = np.mean(scores)
+        assert oracle[3] == 0.0 and np.count_nonzero(oracle) >= 3
+        assert np.array_equal(sweep.f1, oracle)
 
     def test_degenerate_thresholds_scored_zero(self, model, corpus):
         sweep = threshold_sweep(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.prediction.svm import LinearSVM
+from repro.prediction.svm import LinearSVM, fit_many
 
 
 def linearly_separable(n=200, seed=0, margin=2.0):
@@ -51,6 +51,16 @@ class TestFit:
         with pytest.raises(ValueError):
             LinearSVM().fit(np.zeros((0, 2)), np.zeros(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_named(self, bad):
+        X, y = linearly_separable(n=20)
+        X[7, 1] = bad
+        with pytest.raises(ValueError, match="row 7"):
+            LinearSVM(seed=0).fit(X, y)
+        with pytest.raises(ValueError, match="row 7"):
+            fit_many([LinearSVM(seed=0), LinearSVM(seed=1)], [X[:10], X], [y[:10], y],
+                     [np.arange(10), np.arange(20)])
+
     def test_hyperparam_validation(self):
         with pytest.raises(ValueError):
             LinearSVM(lam=0.0)
@@ -87,6 +97,11 @@ class TestClassWeights:
         svm = LinearSVM(class_weight="balanced", seed=0).fit(X, y)
         assert np.all(svm.predict(X) == 1)
 
+    def test_class_weight_missing_label(self):
+        X, y = linearly_separable(n=10)
+        with pytest.raises(ValueError, match="label -1"):
+            LinearSVM(class_weight={1: 2.0}).fit(X, y)
+
     def test_bad_class_weight(self):
         X, y = linearly_separable(n=10)
         with pytest.raises(ValueError):
@@ -117,3 +132,27 @@ class TestIntercept:
         y = np.where(X[:, 0] > 10.0, 1, -1).astype(float)
         svm = LinearSVM(fit_intercept=True, n_epochs=40, seed=0).fit(X, y)
         assert np.mean(svm.predict(X) == y) > 0.6
+
+
+class TestFitMany:
+    def _two_fits(self):
+        X, y = linearly_separable(n=10)
+        models = [LinearSVM(seed=0), LinearSVM(seed=1)]
+        return models, [X, X], [y, y], [m.epoch_order(10) for m in models]
+
+    def test_mismatched_lam_rejected(self):
+        models, Xs, ys, orders = self._two_fits()
+        models[1].lam = 0.5
+        with pytest.raises(ValueError, match="lam"):
+            fit_many(models, Xs, ys, orders)
+
+    def test_order_out_of_range_rejected(self):
+        models, Xs, ys, orders = self._two_fits()
+        orders[1] = orders[1] + 1
+        with pytest.raises(ValueError, match="range"):
+            fit_many(models, Xs, ys, orders)
+
+    def test_length_mismatch_rejected(self):
+        models, Xs, ys, orders = self._two_fits()
+        with pytest.raises(ValueError, match="one entry per fit"):
+            fit_many(models, Xs[:1], ys, orders)
